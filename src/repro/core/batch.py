@@ -385,7 +385,6 @@ def _flat_multi(
         raise InvalidParameterError(
             f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
         )
-    n_rows = index.num_rows
     bank = index._bank
     assert bank is not None
     hashes = bank.hash_points(queries)
@@ -394,7 +393,7 @@ def _flat_multi(
     groups = []
     for j in range(queries.shape[0]):
         lanes = [
-            Lane(q, index.metric_params(q), k, cap_value, n_rows)
+            Lane(q, index.metric_params(q), k, cap_value)
             for q in unique
         ]
         if telemetry is not None:

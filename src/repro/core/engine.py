@@ -25,6 +25,12 @@ re-executes the *same plan* with batched kernels:
 * sequential I/O is charged by interval arithmetic on per-function page
   hulls instead of a per-page Python loop.
 
+The round kernel is shared: :func:`round_windows`, :class:`RingSplit`,
+:func:`crossings`, :func:`consume_counts` and :class:`Candidates` are the
+one copy of each Algorithm-4 step, hosted here by :class:`LaneGroup` and
+in the sharded service by the shard workers (:mod:`repro.serve.worker`)
+and the coordinator (:mod:`repro.serve.service`).
+
 The engine is a pure execution-plan change: candidate order, termination
 round/function, results, and the simulated sequential/random I/O counts
 are bit-identical to the scalar reference loops (``LazyLSH._knn_impl`` and
@@ -55,8 +61,12 @@ from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageTracker
 
-#: Hard cap on rehashing rounds (mirrors the scalar loops).
+#: Hard cap on rehashing rounds (shared by the scalar loops, the flat
+#: engine and the sharded coordinator).
 _MAX_ROUNDS = 128
+
+#: Non-termination diagnostic shared by every kNN path.
+_KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
 
 #: Algorithm-4 termination reasons, shared by the flat and scalar paths
 #: (and re-exported by :mod:`repro.obs` for trace consumers).
@@ -132,29 +142,265 @@ def charge_ring_hulls(
     return new
 
 
+def round_windows(
+    hashes: np.ndarray, level: float, rehashing: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-function bucket windows ``[los, his]`` of one rehashing round.
+
+    ``"query_centric"`` centres a window of radius ``floor(level / 2)``
+    on each query hash (Section 4.3); ``"original"`` takes the aligned
+    bucket of width ``floor(level)`` that contains it.
+    """
+    if rehashing == "query_centric":
+        half = int(math.floor(level / 2.0))
+        return hashes - half, hashes + half
+    width = max(1, int(math.floor(level)))
+    los = np.floor_divide(hashes, width) * width
+    return los, los + width - 1
+
+
+class RingSplit:
+    """Previous-round windows and entry ranges of one query's scans.
+
+    A round only reads the ring between its window and the previous
+    (nested) one; :meth:`split` cuts each function's entry range into
+    the left and right ring runs, and :meth:`advance` records the round
+    for the next split.  The first round, and any function whose windows
+    fail to nest (possible under ``"original"`` rehashing), read their
+    whole window as the left run.  Entry ranges are positions in
+    whatever run the caller searched: the full run for the flat engine,
+    one shard's sub-run for a shard worker.
+    """
+
+    __slots__ = ("plos", "phis", "pstarts", "pstops", "first_round")
+
+    def __init__(self, n_funcs: int) -> None:
+        self.plos = np.zeros(n_funcs, dtype=np.int64)
+        self.phis = np.zeros(n_funcs, dtype=np.int64)
+        self.pstarts = np.zeros(n_funcs, dtype=np.int64)
+        self.pstops = np.zeros(n_funcs, dtype=np.int64)
+        self.first_round = True
+
+    def split(
+        self,
+        los: np.ndarray,
+        his: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(left_starts, left_stops, right_starts, right_stops)``.
+
+        Covers the first ``len(los)`` functions; ``stops >= starts``.
+        """
+        if self.first_round:
+            return starts, stops, stops, stops
+        f = los.shape[0]
+        nested = (los <= self.plos[:f]) & (self.phis[:f] <= his)
+        left_stops = np.where(nested, np.minimum(self.pstarts[:f], stops), stops)
+        right_starts = np.where(nested, np.maximum(self.pstops[:f], starts), stops)
+        return starts, left_stops, right_starts, stops
+
+    def advance(
+        self,
+        los: np.ndarray,
+        his: np.ndarray,
+        starts: np.ndarray,
+        stops: np.ndarray,
+    ) -> None:
+        f = los.shape[0]
+        self.plos[:f] = los
+        self.phis[:f] = his
+        self.pstarts[:f] = starts
+        self.pstops[:f] = stops
+        self.first_round = False
+
+
+def initial_slack(theta: int, alive: np.ndarray) -> np.ndarray:
+    """Per-row crossing slack before a query's first scan.
+
+    Row ``j``'s collision count crosses ``theta`` within a scan iff the
+    scan adds more than ``slack[j]`` collisions.  Rows that cannot cross
+    (dead, or later promoted) carry :data:`_SLACK_DEAD`.
+    """
+    slack = np.full(alive.shape[0], _SLACK_DEAD, dtype=np.int32)
+    np.copyto(slack, theta, where=alive)
+    return slack
+
+
+def crossings(
+    sub: np.ndarray,
+    slack: np.ndarray,
+    bounds: np.ndarray,
+    scratch: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Find a scan's collision-threshold crossings.
+
+    ``sub`` holds the scanned row ids in scan order and ``bounds`` the
+    per-function offsets into it (function ``j`` scanned
+    ``sub[bounds[j]:bounds[j + 1]]``, ``bounds[0] == 0``).  ``scratch``
+    is an all-False bool array as long as ``slack`` and is left
+    all-False.
+
+    Avoids sorting the scan: one ``bincount`` finds the (few) rows whose
+    count crosses ``theta``, and only their occurrences are ranked —
+    a row crosses at its ``(slack + 1)``-th occurrence — to recover the
+    exact scan position of each crossing.
+
+    Returns ``(add, elems, rel_func)``: the per-row collision counts of
+    the scan (``None`` for an empty scan), the ascending scan positions
+    where a crossing happens, and the function (an index into
+    ``bounds``) of each.
+    """
+    if not sub.size:
+        return None, _EMPTY_I64, _EMPTY_I64
+    add = np.bincount(sub, minlength=slack.shape[0])
+    crossers = np.flatnonzero(add > slack)
+    if not crossers.size:
+        return add, _EMPTY_I64, _EMPTY_I64
+    scratch[crossers] = True
+    pos = np.flatnonzero(scratch[sub])
+    scratch[crossers] = False
+    psub = sub[pos]
+    order = np.argsort(psub, kind="stable")
+    sid = psub[order]
+    first = np.empty(sid.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sid[1:], sid[:-1], out=first[1:])
+    group_starts = np.flatnonzero(first)
+    group_idx = np.cumsum(first) - 1
+    rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
+    elems = pos[order[rank == slack[sid]]]
+    elems.sort()
+    rel_func = np.searchsorted(bounds, elems, side="right") - 1
+    return add, elems, rel_func
+
+
+def consume_counts(
+    slack: np.ndarray, add: np.ndarray, promoted: np.ndarray
+) -> None:
+    """Fold a fully consumed scan's counts into ``slack`` in place.
+
+    ``promoted`` rows just became candidates and never cross again.
+    """
+    np.subtract(slack, add, out=slack, casting="unsafe")
+    slack[promoted] = _SLACK_DEAD
+
+
+class Candidates:
+    """Candidate set and termination state of one Algorithm-4 query.
+
+    Held by each flat-engine :class:`Lane` and by the sharded
+    coordinator's per-query run.  Termination is tracked incrementally:
+    ``n_within`` counts the candidates already inside the current
+    round's radius ``c_delta``, and ``outside`` holds the distances not
+    yet inside, re-filtered once per round as the radius grows (each
+    distance is scanned only while it remains outside).
+    """
+
+    __slots__ = (
+        "k",
+        "cap",
+        "c_delta",
+        "n_cand",
+        "n_within",
+        "outside",
+        "id_chunks",
+        "dist_chunks",
+    )
+
+    def __init__(self, k: int, cap: float) -> None:
+        self.k = k
+        self.cap = cap
+        self.c_delta = 0.0
+        self.n_cand = 0
+        self.n_within = 0
+        self.outside = _EMPTY_F64
+        self.id_chunks: list[np.ndarray] = []
+        self.dist_chunks: list[np.ndarray] = []
+
+    def begin_round(self, c_delta: float) -> None:
+        """Enter a round of radius ``c_delta`` (never smaller than before)."""
+        self.c_delta = c_delta
+        if self.outside.size:
+            newly = self.outside < c_delta
+            hits = int(np.count_nonzero(newly))
+            if hits:
+                self.n_within += hits
+                self.outside = self.outside[~newly]
+
+    def find_stop(
+        self, rel_func: np.ndarray, dists: np.ndarray, n_funcs: int
+    ) -> tuple[int | None, str, int]:
+        """The first function where the query terminates, if any.
+
+        ``rel_func`` holds a scan's crossings in promotion order (so it
+        ascends) as function indices below ``n_funcs``, ``dists`` their
+        distances.  The scalar loop checks after every function whether
+        ``k`` candidates lie within ``c_delta``, then whether the
+        candidate cap is exceeded; the first function where either holds
+        falls out of one cumulative sum.  Returns ``(stop, reason,
+        kept)``: ``stop`` is ``None`` when the query runs past the scan,
+        and ``kept`` counts the crossings up to and including ``stop``.
+        """
+        if not rel_func.size:
+            # No promotions: the same constant test at every function.
+            if self.n_within >= self.k:
+                return 0, TERMINATION_K_WITHIN, 0
+            if self.n_cand > self.cap:
+                return 0, TERMINATION_CAP, 0
+            return None, "", 0
+        promo = np.bincount(rel_func, minlength=n_funcs)
+        within = np.bincount(rel_func[dists < self.c_delta], minlength=n_funcs)
+        cum_cand = self.n_cand + np.cumsum(promo)
+        cum_within = self.n_within + np.cumsum(within)
+        stop_mask = (cum_within >= self.k) | (cum_cand > self.cap)
+        if not stop_mask.any():
+            return None, "", int(rel_func.size)
+        stop = int(np.argmax(stop_mask))
+        # The within-radius test runs first, so it wins a tie.
+        reason = (
+            TERMINATION_K_WITHIN if cum_within[stop] >= self.k else TERMINATION_CAP
+        )
+        return stop, reason, int(np.searchsorted(rel_func, stop, side="right"))
+
+    def promote(self, ids: np.ndarray, dists: np.ndarray) -> None:
+        """Add crossings (in promotion order) to the candidate set."""
+        self.id_chunks.append(ids)
+        self.dist_chunks.append(dists)
+        self.n_cand += int(ids.shape[0])
+        inside = dists < self.c_delta
+        self.n_within += int(np.count_nonzero(inside))
+        if not inside.all():
+            self.outside = np.concatenate([self.outside, dists[~inside]])
+
+    def top_k(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` nearest candidates' ``(ids, distances)``, ascending.
+
+        The same ``argsort`` as the scalar loop, so ties resolve alike.
+        """
+        if self.id_chunks:
+            ids = np.concatenate(self.id_chunks)
+            dists = np.concatenate(self.dist_chunks)
+        else:
+            ids, dists = _EMPTY_I64, _EMPTY_F64
+        order = np.argsort(dists)[: self.k]
+        return ids[order].astype(np.int64), dists[order]
+
+
 class Lane:
     """Per-(query, metric) Algorithm-4 state inside a lane group."""
 
     __slots__ = (
         "p",
         "params",
-        "k",
-        "cap",
         "theta",
         "eta",
-        "counts",
         "slack",
-        "is_candidate",
-        "id_chunks",
-        "dist_chunks",
-        "n_cand",
-        "n_within",
-        "outside",
+        "cands",
         "active",
         "rounds",
         "io",
         "delta",
-        "c_delta",
         "i_stop",
         "scan_end",
         "block_data",
@@ -162,36 +408,18 @@ class Lane:
         "trace",
     )
 
-    def __init__(self, p: float, params, k: int, cap: float, n_rows: int) -> None:
+    def __init__(self, p: float, params, k: int, cap: float) -> None:
         self.p = p
         self.params = params
-        self.k = k
-        self.cap = cap
         self.theta = int(params.theta)
         self.eta = int(params.eta)
-        self.counts = np.zeros(n_rows, dtype=np.int32)
-        # Fused crossing test: row j's count crosses theta within a block
-        # iff the block adds more than ``slack[j]`` collisions.  Rows that
-        # cannot cross (dead or already candidates) carry _SLACK_DEAD; the
-        # group initialises the live entries to ``theta`` when it binds
-        # the lane to its data.
-        self.slack = np.full(n_rows, _SLACK_DEAD, dtype=np.int32)
-        self.is_candidate = np.zeros(n_rows, dtype=bool)
-        self.id_chunks: list[np.ndarray] = []
-        self.dist_chunks: list[np.ndarray] = []
-        self.n_cand = 0
-        # Incremental termination bookkeeping: ``n_within`` counts the
-        # candidates already inside the current round's ``c * delta``;
-        # ``outside`` holds the distances not yet inside, re-filtered once
-        # per round as the radius grows (each distance is scanned only
-        # while it remains outside).
-        self.n_within = 0
-        self.outside = np.empty(0, dtype=np.float64)
+        # Bound to the group's rows by LaneGroup (see initial_slack).
+        self.slack: np.ndarray = _EMPTY_I64
+        self.cands = Candidates(k, cap)
         self.active = True
         self.rounds = 0
         self.io = IOStats()
         self.delta = 1.0 / float(params.r_hat)
-        self.c_delta = 0.0
         # Per-round scan cursor: the function the lane stopped at (None
         # while still scanning) and the exclusive end of its scan range.
         self.i_stop: int | None = None
@@ -202,26 +430,6 @@ class Lane:
         # only disabled-telemetry cost is `is None` checks).
         self.stop_reason = ""
         self.trace = None
-
-    def begin_round_radius(self) -> None:
-        """Refresh the within-radius counter for the new (larger) radius."""
-        if self.outside.size:
-            newly = self.outside < self.c_delta
-            hits = int(np.count_nonzero(newly))
-            if hits:
-                self.n_within += hits
-                self.outside = self.outside[~newly]
-
-    def candidate_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.id_chunks:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        return (
-            np.concatenate(self.id_chunks),
-            np.concatenate(self.dist_chunks),
-        )
 
 
 class LaneGroup:
@@ -265,21 +473,16 @@ class LaneGroup:
             np.zeros(self.n_rows, dtype=bool) if style == "multi" else None
         )
         for lane in lanes:
-            np.copyto(lane.slack, lane.theta, where=alive)
-        # Scratch buffer for marking crossing ids inside _analyse_lane;
-        # always all-False between calls.
+            lane.slack = initial_slack(lane.theta, alive)
+        # Scratch buffer for crossings(); always all-False between calls.
         self._lookup = np.zeros(self.n_rows, dtype=bool)
         eta_max = max(lane.eta for lane in lanes)
         self.eta_max = eta_max
-        # Per-function previous-round state: bucket windows, their entry
-        # ranges, and the page hull already charged (interval arithmetic).
-        self.plos = np.zeros(eta_max, dtype=np.int64)
-        self.phis = np.zeros(eta_max, dtype=np.int64)
-        self.pstarts = np.zeros(eta_max, dtype=np.int64)
-        self.pstops = np.zeros(eta_max, dtype=np.int64)
+        # Per-function previous-round state: windows and entry ranges
+        # (the ring split), and the page hull already charged.
+        self.ring = RingSplit(eta_max)
         self.seen_first = np.full(eta_max, _HULL_EMPTY_FIRST, dtype=np.int64)
         self.seen_stop = np.zeros(eta_max, dtype=np.int64)
-        self.first_round = True
         self.level = 0.0
         self.cur_los: np.ndarray | None = None
         self.cur_his: np.ndarray | None = None
@@ -302,30 +505,21 @@ class LaneGroup:
         if self.style == "single":
             lane = self.lanes[0]
             self.level = float(lane.params.r_hat) * lane.delta
-            lane.c_delta = self.c * lane.delta
         else:
             self.level = self.c**round_index
             for lane in self.active_lanes:
                 lane.delta = self.c**round_index / float(lane.params.r_hat)
-                lane.c_delta = self.c * lane.delta
         for lane in self.active_lanes:
-            lane.begin_round_radius()
+            lane.cands.begin_round(self.c * lane.delta)
             if lane.trace is not None:
                 lane.trace.begin_round(
-                    level=self.level, radius=lane.c_delta, io=lane.io
+                    level=self.level, radius=lane.cands.c_delta, io=lane.io
                 )
         f_round = max(lane.eta for lane in self.active_lanes)
         self.f_round = f_round
-        hq = self.query_hashes[:f_round]
-        if self.rehashing == "query_centric":
-            half = int(math.floor(self.level / 2.0))
-            los = hq - half
-            his = hq + half
-        else:
-            width = max(1, int(math.floor(self.level)))
-            base = np.floor_divide(hq, width)
-            los = base * width
-            his = los + width - 1
+        los, his = round_windows(
+            self.query_hashes[:f_round], self.level, self.rehashing
+        )
         self.cur_los = los
         self.cur_his = his
         funcs = np.arange(f_round, dtype=np.int64)
@@ -344,19 +538,9 @@ class LaneGroup:
         n = self.store.num_points
         base = np.arange(f_round, dtype=np.int64) * n
         stops = np.maximum(starts, stops)
-        if self.first_round:
-            left_starts, left_stops = starts, stops
-            right_starts = right_stops = stops
-        else:
-            nested = (self.cur_los <= self.plos[:f_round]) & (
-                self.phis[:f_round] <= self.cur_his
-            )
-            pstarts = self.pstarts[:f_round]
-            pstops = self.pstops[:f_round]
-            left_starts = starts
-            left_stops = np.where(nested, np.minimum(pstarts, stops), stops)
-            right_starts = np.where(nested, np.maximum(pstops, starts), stops)
-            right_stops = stops
+        left_starts, left_stops, right_starts, right_stops = self.ring.split(
+            self.cur_los, self.cur_his, starts, stops
+        )
         left_lens = left_stops - left_starts
         right_lens = right_stops - right_starts
         func_lens = left_lens + right_lens
@@ -398,15 +582,12 @@ class LaneGroup:
                 lane.active = False
             if lane.trace is not None:
                 lane.trace.end_round(
-                    io=lane.io, candidates=lane.n_cand, within=lane.n_within
+                    io=lane.io,
+                    candidates=lane.cands.n_cand,
+                    within=lane.cands.n_within,
                 )
 
-        # Advance per-function previous-round state.
-        self.plos[:f_round] = self.cur_los
-        self.phis[:f_round] = self.cur_his
-        self.pstarts[:f_round] = starts
-        self.pstops[:f_round] = stops
-        self.first_round = False
+        self.ring.advance(self.cur_los, self.cur_his, starts, stops)
         if self.style == "single":
             self.lanes[0].delta *= self.c
 
@@ -481,78 +662,26 @@ class LaneGroup:
         flat_ids: np.ndarray,
         bounds: np.ndarray,
     ) -> None:
-        """Find the block's threshold crossings and the stop function.
-
-        Avoids sorting the block's id stream: one ``bincount`` finds the
-        (few) points whose collision count crosses ``theta`` within the
-        block, and only their occurrences are ranked to recover the exact
-        function — hence scan position — where each crossing happens.
-        """
+        """Find the lane's crossings in the block and its stop function."""
         nf = min(lane.scan_end, f1) - f0
         m = int(bounds[nf])
         sub = flat_ids[:m]
-        add = None
-        crossers = _EMPTY_I64
-        if m:
-            add = np.bincount(sub, minlength=self.n_rows)
-            crossers = np.flatnonzero(add > lane.slack)
-        if not crossers.size:
-            # No promotions in this lane's share of the block, so the
-            # scalar loop's per-function check is the same constant test
-            # at every function of the range.
-            if lane.n_within >= lane.k:
-                lane.i_stop = f0
-                lane.stop_reason = TERMINATION_K_WITHIN
-            elif lane.n_cand > lane.cap:
-                lane.i_stop = f0
-                lane.stop_reason = TERMINATION_CAP
-            if lane.trace is not None:
-                consumed = m if lane.i_stop is None else int(bounds[1])
-                lane.trace.add_collisions(consumed)
-            lane.block_data = (_EMPTY_I64, _EMPTY_I64, _EMPTY_F64, add)
-            return
-        lookup = self._lookup
-        lookup[crossers] = True
-        pos = np.flatnonzero(lookup[sub])
-        lookup[crossers] = False
-        psub = sub[pos]
-        order = np.argsort(psub, kind="stable")
-        sid = psub[order]
-        first = np.empty(sid.size, dtype=bool)
-        first[0] = True
-        np.not_equal(sid[1:], sid[:-1], out=first[1:])
-        group_starts = np.flatnonzero(first)
-        group_idx = np.cumsum(first) - 1
-        rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-        # A point's count crosses theta at its (theta - count)-th
-        # occurrence of the block.
-        hits = rank == lane.slack[sid]
-        elems = pos[order[hits]]
-        elems.sort()
-        cross_ids = sub[elems]
-        cross_func = f0 + (np.searchsorted(bounds, elems, side="right") - 1)
-        dists = lp_distance(self.data[cross_ids], self.query, lane.p)
-        promo = np.bincount(cross_func - f0, minlength=nf)
-        within = np.bincount(cross_func[dists < lane.c_delta] - f0, minlength=nf)
-        cum_cand = lane.n_cand + np.cumsum(promo)
-        cum_within = lane.n_within + np.cumsum(within)
-        stop_mask = (cum_within >= lane.k) | (cum_cand > lane.cap)
-        if stop_mask.any():
-            stop = int(np.argmax(stop_mask))
+        add, elems, rel_func = crossings(sub, lane.slack, bounds, self._lookup)
+        if elems.size:
+            cross_ids = sub[elems]
+            dists = lp_distance(self.data[cross_ids], self.query, lane.p)
+        else:
+            cross_ids, dists = _EMPTY_I64, _EMPTY_F64
+        stop, reason, kept = lane.cands.find_stop(rel_func, dists, nf)
+        if stop is not None:
             lane.i_stop = f0 + stop
-            # The scalar loop tests the within-radius condition before
-            # the candidate cap, so it wins when both fire at once.
-            lane.stop_reason = (
-                TERMINATION_K_WITHIN
-                if cum_within[stop] >= lane.k
-                else TERMINATION_CAP
-            )
+            lane.stop_reason = reason
         if lane.trace is not None:
             consumed = (
                 m if lane.i_stop is None else int(bounds[lane.i_stop - f0 + 1])
             )
             lane.trace.add_collisions(consumed)
-        lane.block_data = (cross_ids, cross_func, dists, add)
+        lane.block_data = (cross_ids, f0 + rel_func, dists, add, kept)
 
     def _charge_hulls(
         self,
@@ -619,40 +748,22 @@ class LaneGroup:
                 new[j] = total
         return new
 
-    def _kept_slice(self, lane: Lane) -> int:
-        cross_func = lane.block_data[1]
-        if lane.i_stop is None:
-            return int(cross_func.shape[0])
-        return int(np.searchsorted(cross_func, lane.i_stop, side="right"))
-
-    def _promote_lane(self, lane: Lane, kept: int) -> None:
-        cross_ids, _cross_func, dists, add = lane.block_data
-        kept_ids = cross_ids[:kept]
-        kept_dists = dists[:kept]
+    def _promote_lane(self, lane: Lane) -> None:
+        cross_ids, _cross_func, dists, add, kept = lane.block_data
         if kept:
             if lane.trace is not None:
                 lane.trace.add_crossings(kept)
-            lane.is_candidate[kept_ids] = True
-            lane.id_chunks.append(kept_ids)
-            lane.dist_chunks.append(kept_dists)
-            lane.n_cand += kept
-            inside = kept_dists < lane.c_delta
-            lane.n_within += int(np.count_nonzero(inside))
-            if not inside.all():
-                lane.outside = np.concatenate([lane.outside, kept_dists[~inside]])
+            lane.cands.promote(cross_ids[:kept], dists[:kept])
         if lane.i_stop is None and add is not None:
-            lane.counts += add
-            np.subtract(lane.slack, add, out=lane.slack, casting="unsafe")
-            if kept:
-                lane.slack[kept_ids] = _SLACK_DEAD
+            consume_counts(lane.slack, add, cross_ids)
         lane.block_data = None
 
     def _promote_single(self, scanners: list[Lane]) -> None:
         for lane in scanners:
-            kept = self._kept_slice(lane)
+            kept = lane.block_data[4]
             if kept:
                 lane.io.add_random(kept)
-            self._promote_lane(lane, kept)
+            self._promote_lane(lane)
 
     def _promote_shared(self, scanners: list[Lane]) -> None:
         """Multi-metric promotion with shared candidate fetches.
@@ -661,7 +772,7 @@ class LaneGroup:
         attribute each object's single random fetch to the first metric
         that promotes it.
         """
-        kept_counts = [self._kept_slice(lane) for lane in scanners]
+        kept_counts = [lane.block_data[4] for lane in scanners]
         total = sum(kept_counts)
         if total:
             ranks = {id(lane): rank for rank, lane in enumerate(self.active_lanes)}
@@ -692,8 +803,8 @@ class LaneGroup:
             for rank, lane in enumerate(self.active_lanes):
                 if counts[rank]:
                     lane.io.add_random(int(counts[rank]))
-        for lane, kept in zip(list(scanners), kept_counts):
-            self._promote_lane(lane, kept)
+        for lane in scanners:
+            self._promote_lane(lane)
 
 
 def execute_rounds(groups: list[LaneGroup], *, error: str) -> None:

@@ -28,6 +28,8 @@ from repro._typing import IdArray, PointMatrix, PointVector
 from repro.api import SearchRequest, SearchResult, warn_positional
 from repro.core.config import LazyLSHConfig
 from repro.core.engine import (
+    _KNN_ABORT,
+    _MAX_ROUNDS,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
     Lane,
@@ -51,13 +53,6 @@ from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
 
-#: Hard cap on rehashing rounds; the level grows by a factor ``c`` per
-#: round, so legitimate queries terminate in a few dozen rounds at most.
-_MAX_ROUNDS = 128
-
-#: Non-termination diagnostic shared by the scalar and flat kNN paths.
-_KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
-
 
 def _lane_result(lane: Lane) -> "KnnResult":
     """Assemble a :class:`KnnResult` from a finished engine lane.
@@ -65,15 +60,14 @@ def _lane_result(lane: Lane) -> "KnnResult":
     Mirrors the tail of the scalar loop exactly: same distance array,
     same ``argsort`` (so ties resolve identically), same bookkeeping.
     """
-    cand_ids, cand_dists = lane.candidate_arrays()
-    order = np.argsort(cand_dists)[: lane.k]
+    ids, dists = lane.cands.top_k()
     return KnnResult(
-        ids=cand_ids[order].astype(np.int64),
-        distances=cand_dists[order],
+        ids=ids,
+        distances=dists,
         p=lane.p,
-        k=lane.k,
+        k=lane.cands.k,
         io=lane.io,
-        candidates=int(cand_ids.size),
+        candidates=lane.cands.n_cand,
         rounds=lane.rounds,
         termination=lane.stop_reason,
     )
@@ -752,7 +746,7 @@ class LazyLSH:
         params = self.metric_params(p)
         assert self._bank is not None and self._store is not None and self._data is not None
         cap_value = k + self._beta * n if cap is None else float(cap)
-        lane = Lane(p, params, k, cap_value, self.num_rows)
+        lane = Lane(p, params, k, cap_value)
         if radius is not None:
             lane.delta = float(radius)
         if query_hashes is None:

@@ -33,6 +33,7 @@ import numpy as np
 from repro._typing import PointVector
 from repro.api import SearchRequest, warn_deprecated, warn_positional
 from repro.core.engine import (
+    _MAX_ROUNDS,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
     Lane,
@@ -44,8 +45,6 @@ from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
 from repro.storage.io_stats import IOStats
-
-_MAX_ROUNDS = 128
 
 
 @dataclass
@@ -429,10 +428,9 @@ class MultiQueryEngine:
         """
         index = self.index
         n = index.num_points
-        n_rows = index.num_rows
         cap_value = k + index.beta * n if cap is None else float(cap)
         lanes = [
-            Lane(p, index.metric_params(p), k, cap_value, n_rows)
+            Lane(p, index.metric_params(p), k, cap_value)
             for p in unique
         ]
         if telemetry is not None:

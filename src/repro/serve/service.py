@@ -25,10 +25,11 @@ observations make this work:
   ``i_stop``.  On any round the query *continues*, the engine consumed
   the whole round too, so worker state matches; on the round it stops,
   the post-``i_stop`` shard state is never read again.  The coordinator
-  recovers ``i_stop`` exactly by replaying the engine's promotion order
+  merges the shards' crossings into the engine's promotion order
   (function-major, left ring run before right — a ``lexsort`` on
-  (function, full-run position)) through one cumulative sum of the
-  per-function within-radius and candidate counts.
+  (function, full-run position)) and hands them to the engine's own
+  stop-function search (:class:`~repro.core.engine.Candidates`), which
+  finds ``i_stop`` exactly.
 * **Positions are dense.**  Every reported crossing and scan extent
   carries its position in the *full* run, and shard sub-runs partition
   the run, so the full scan interval per function is just the min/max
@@ -36,6 +37,11 @@ observations make this work:
   charges sequential page I/O through the very same
   :func:`~repro.core.engine.charge_ring_hulls` interval arithmetic the
   engine uses.
+
+The coordinator is a thin host of the engine's round kernel: windows,
+the radius refresh, the stop-function search, promotion and the top-k
+finish are the engine's; it adds only the shard merge, the min/max of
+shard extents, and per-shard random-I/O attribution.
 
 I/O attribution: random I/Os (candidate fetches) are attributed to the
 shard owning the candidate (``SearchResult.shard_io``); sequential page
@@ -65,9 +71,12 @@ import numpy as np
 
 from repro.api import SearchRequest, SearchResult
 from repro.core.engine import (
-    TERMINATION_CAP,
-    TERMINATION_K_WITHIN,
+    _HULL_EMPTY_FIRST,
+    _KNN_ABORT,
+    _MAX_ROUNDS,
+    Candidates,
     charge_ring_hulls,
+    round_windows,
 )
 from repro.errors import (
     IndexNotBuiltError,
@@ -85,13 +94,6 @@ from repro.serve.worker import worker_main
 from repro.storage.io_stats import IOStats
 
 logger = logging.getLogger("repro.serve.service")
-
-#: Mirror of the engine's round cap and hull sentinel (kept local so the
-#: service depends only on the engine's public charging primitive).
-_MAX_ROUNDS = 128
-_HULL_EMPTY_FIRST = 2**62
-
-_KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
 
 #: Pipe round-trip latency buckets (seconds): a round trip is one op's
 #: send → worker scan → reply receipt, so sub-millisecond to ~1s.
@@ -165,26 +167,25 @@ class _WaveObs:
 
 
 class _QueryRun:
-    """Coordinator-side Algorithm-4 state for one in-flight query."""
+    """Coordinator-side Algorithm-4 state for one in-flight query.
+
+    The candidate set and termination state live in the engine's
+    :class:`~repro.core.engine.Candidates`; the run adds what only the
+    coordinator tracks: the radius schedule, the page hulls charged so
+    far, and the per-shard random-I/O attribution.
+    """
 
     __slots__ = (
         "qid",
         "query",
-        "k",
         "p",
         "theta",
         "eta",
         "r_hat",
-        "cap",
         "delta",
-        "c_delta",
         "level",
         "rounds",
-        "n_cand",
-        "n_within",
-        "outside",
-        "id_chunks",
-        "dist_chunks",
+        "cands",
         "io",
         "shard_random",
         "seen_first",
@@ -211,21 +212,14 @@ class _QueryRun:
     ) -> None:
         self.qid = qid
         self.query = query
-        self.k = k
         self.p = p
         self.theta = int(params.theta)
         self.eta = int(params.eta)
         self.r_hat = float(params.r_hat)
-        self.cap = cap
         self.delta = delta0
-        self.c_delta = 0.0
         self.level = 0.0
         self.rounds = 0
-        self.n_cand = 0
-        self.n_within = 0
-        self.outside = np.empty(0, dtype=np.float64)
-        self.id_chunks: list[np.ndarray] = []
-        self.dist_chunks: list[np.ndarray] = []
+        self.cands = Candidates(k, cap)
         self.io = IOStats()
         self.shard_random = np.zeros(n_shards, dtype=np.int64)
         self.seen_first = np.full(self.eta, _HULL_EMPTY_FIRST, dtype=np.int64)
@@ -1176,13 +1170,13 @@ class ShardedSearchService:
                     result.trace = run.trace.finish(
                         termination=run.reason,
                         io=run.io,
-                        candidates=run.n_cand,
+                        candidates=run.cands.n_cand,
                     )
                     if explain:
                         result.explain = build_explain(
                             result.trace,
                             shard_io=result.shard_io,
-                            cap=int(run.cap),
+                            cap=int(run.cands.cap),
                             request_id=request_id,
                             trace_id=trace_id,
                         )
@@ -1208,7 +1202,7 @@ class ShardedSearchService:
                 if self.auditor is not None:
                     self.auditor.observe(
                         run.query,
-                        k=run.k,
+                        k=run.cands.k,
                         p=run.p,
                         ids=result.ids,
                         distances=result.distances,
@@ -1307,38 +1301,22 @@ class ShardedSearchService:
                 if r.rounds > _MAX_ROUNDS:
                     raise ReproError(_KNN_ABORT)
                 r.level = r.r_hat * r.delta
-                r.c_delta = c * r.delta
-                # Refresh the within-radius counter for the larger radius
-                # (the engine's Lane.begin_round_radius).
-                if r.outside.size:
-                    newly = r.outside < r.c_delta
-                    hits = int(np.count_nonzero(newly))
-                    if hits:
-                        r.n_within += hits
-                        r.outside = r.outside[~newly]
+                r.cands.begin_round(c * r.delta)
                 if r.trace is not None:
                     r.trace.begin_round(
-                        level=r.level, radius=r.c_delta, io=r.io
+                        level=r.level, radius=r.cands.c_delta, io=r.io
                     )
-                hq = r.query_hashes
-                if rehashing == "query_centric":
-                    half = int(np.floor(r.level / 2.0))
-                    r.cur_los = hq - half
-                    r.cur_his = hq + half
-                else:
-                    width = max(1, int(np.floor(r.level)))
-                    base = np.floor_divide(hq, width)
-                    r.cur_los = base * width
-                    r.cur_his = r.cur_los + width - 1
-            requests = [(r.qid, r.cur_los, r.cur_his) for r in active]
-            if self._wave_obs is None:
-                payload = requests
-            else:
-                payload = {"requests": requests, "obs": True}
-                if self._wave_obs.trace is not None:
-                    # W3C-style propagation over the pipe: workers open
-                    # child spans under the wave's root span.
-                    payload["trace"] = self._wave_obs.trace.to_dict()
+                r.cur_los, r.cur_his = round_windows(
+                    r.query_hashes, r.level, rehashing
+                )
+            payload = {
+                "requests": [(r.qid, r.cur_los, r.cur_his) for r in active],
+                "obs": self._wave_obs is not None,
+            }
+            if self._wave_obs is not None and self._wave_obs.trace is not None:
+                # W3C-style propagation over the pipe: workers open
+                # child spans under the wave's root span.
+                payload["trace"] = self._wave_obs.trace.to_dict()
             replies = self._broadcast("round", payload)
             for r in active:
                 self._merge_round(r, [reply[r.qid] for reply in replies])
@@ -1349,9 +1327,10 @@ class ShardedSearchService:
     def _merge_round(self, r: _QueryRun, parts: list) -> None:
         """Fold one round's per-shard replies into the query's state.
 
-        Recovers the engine's stop function by replaying its promotion
-        order, then charges exactly the I/O the single-process engine
-        would have charged for functions up to (and including) the stop.
+        Merges the shards' crossings into the engine's promotion order,
+        lets the engine's termination test find the stop function, and
+        charges exactly the I/O the single-process engine would have
+        charged for functions up to (and including) the stop.
         """
         eta = r.eta
         gids = np.concatenate([part["gids"] for part in parts])
@@ -1361,28 +1340,10 @@ class ShardedSearchService:
         # Engine promotion order: function-major, then full-run position
         # (left ring run positions precede right ring run positions).
         order = np.lexsort((pos, funcs))
-        funcs_s = funcs[order]
-        # Per-function promotion / within-radius counts -> the first
-        # function where the engine's termination condition holds.
-        promo = np.bincount(funcs_s, minlength=eta)
-        within = np.bincount(funcs[dists < r.c_delta], minlength=eta)
-        cum_cand = r.n_cand + np.cumsum(promo)
-        cum_within = r.n_within + np.cumsum(within)
-        stop_mask = (cum_within >= r.k) | (cum_cand > r.cap)
-        if stop_mask.any():
-            i_stop = int(np.argmax(stop_mask))
-            reason = (
-                TERMINATION_K_WITHIN
-                if cum_within[i_stop] >= r.k
-                else TERMINATION_CAP
-            )
-            kept = int(np.searchsorted(funcs_s, i_stop, side="right"))
-            consumed = np.arange(eta) <= i_stop
-        else:
-            i_stop = None
-            reason = ""
-            kept = int(gids.size)
-            consumed = np.ones(eta, dtype=bool)
+        gids = gids[order]
+        dists = dists[order]
+        i_stop, reason, kept = r.cands.find_stop(funcs[order], dists, eta)
+        consumed = np.arange(eta) <= (eta if i_stop is None else i_stop)
         # Full-run scan intervals per function: positions are dense and
         # the shards partition each run, so min/max over the shards'
         # extents reconstruct the engine's intervals exactly.
@@ -1416,45 +1377,33 @@ class ShardedSearchService:
         seq = int(new.sum())
         if seq:
             r.io.add_sequential(seq)
-        # Random I/O + promotion of the kept crossings.
+        # Random I/O, attributed to the shard owning each candidate.
         if kept:
-            kept_ids = gids[order[:kept]]
-            kept_dists = dists[order[:kept]]
             r.io.add_random(kept)
-            owner = self._owner_of(kept_ids)
+            owner = self._owner_of(gids[:kept])
             r.shard_random += np.bincount(owner, minlength=self.n_shards)
             if r.trace is not None:
                 r.trace.add_crossings(kept)
-            r.id_chunks.append(kept_ids)
-            r.dist_chunks.append(kept_dists)
-            r.n_cand += kept
-            inside = kept_dists < r.c_delta
-            r.n_within += int(np.count_nonzero(inside))
-            if not inside.all():
-                r.outside = np.concatenate([r.outside, kept_dists[~inside]])
+            r.cands.promote(gids[:kept], dists[:kept])
         if r.trace is not None:
             r.trace.end_round(
-                io=r.io, candidates=r.n_cand, within=r.n_within
+                io=r.io,
+                candidates=r.cands.n_cand,
+                within=r.cands.n_within,
             )
         if i_stop is not None:
             r.done = True
             r.reason = reason
 
     def _finish_run(self, r: _QueryRun) -> SearchResult:
-        if r.id_chunks:
-            cand_ids = np.concatenate(r.id_chunks)
-            cand_dists = np.concatenate(r.dist_chunks)
-        else:  # pragma: no cover - cap 0-candidate degenerate case
-            cand_ids = np.empty(0, dtype=np.int64)
-            cand_dists = np.empty(0, dtype=np.float64)
-        order = np.argsort(cand_dists)[: r.k]
+        ids, dists = r.cands.top_k()
         return SearchResult(
-            ids=cand_ids[order].astype(np.int64),
-            distances=cand_dists[order],
+            ids=ids,
+            distances=dists,
             p=r.p,
-            k=r.k,
+            k=r.cands.k,
             io=r.io,
-            candidates=int(cand_ids.size),
+            candidates=r.cands.n_cand,
             rounds=r.rounds,
             termination=r.reason,
             shard_io=[

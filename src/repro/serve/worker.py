@@ -1,9 +1,10 @@
 """Shard worker: the per-process half of the sharded query service.
 
 Each worker owns one contiguous id-range shard of the inverted index
-(attached zero-copy from shared memory) and answers *round* requests:
-given one rehashing round's window bounds it scans its shard's sub-runs
-speculatively in full and reports
+(a packed shared-memory copy, or a filter over a memory-mapped v3 file)
+and answers *round* requests: given one rehashing round's window bounds
+it scans its shard's share of the ring runs speculatively in full and
+reports
 
 * every collision-threshold crossing in its shard — point id, the hash
   function where the count crossed ``theta``, the crossing entry's
@@ -12,6 +13,14 @@ speculatively in full and reports
 * per-function scan extents (min/max full-run positions of the left and
   right ring runs), from which the coordinator reconstructs the exact
   full-run page intervals for sequential-I/O charging.
+
+The worker is a thin host of the engine's round kernel
+(:mod:`repro.core.engine`): the ring split is the engine's
+:class:`~repro.core.engine.RingSplit` and the crossing step its
+:func:`~repro.core.engine.crossings`.  A worker adds only the *gather*
+(which entries of each ring segment the shard owns: a packed sub-run
+read whole, or a full run filtered to ``lo <= id < hi``) and the
+per-segment *extents* (first and last owned entry).
 
 The worker never decides termination: the coordinator merges the
 per-shard crossings in the engine's promotion order, finds the global
@@ -59,8 +68,9 @@ makes coordinator replay after a repair idempotent.
 
 Telemetry piggyback (DESIGN §10): each worker runs its *own*
 :class:`~repro.obs.registry.MetricsRegistry` and :class:`~repro.obs.
-tracer.SpanTracer`.  A ``round`` payload may be the legacy request list
-or ``{"requests": [...], "obs": bool}``; with ``obs`` set the reply
+tracer.SpanTracer`.  A ``round`` payload is always
+``{"requests": [...], "obs": bool}``, plus the wave's ``"trace"``
+context when the wave is traced; with ``obs`` set the reply
 payload carries an ``"obs"`` dict of deltas since the last ship —
 rows scanned, crossings found, and the finished span dicts of this
 round's ``worker.round`` scan span — which the coordinator merges into
@@ -78,6 +88,14 @@ import traceback
 
 import numpy as np
 
+from repro.core.engine import (
+    _EMPTY_F64,
+    _EMPTY_I64,
+    RingSplit,
+    consume_counts,
+    crossings,
+    initial_slack,
+)
 from repro.errors import ReproError
 from repro.metrics.lp import lp_distance
 from repro.obs.registry import MetricsRegistry
@@ -92,50 +110,33 @@ from repro.serve.sharding import (
 
 logger = logging.getLogger("repro.serve.worker")
 
-#: Mirrors the engine's dead-row slack sentinel (see repro.core.engine):
-#: rows that can never cross the threshold again.
-_SLACK_DEAD = 2**30
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_F64 = np.empty(0, dtype=np.float64)
 
 
 class _QueryState:
     """Per-query Algorithm-4 collision state restricted to one shard."""
 
-    __slots__ = (
-        "query",
-        "p",
-        "theta",
-        "eta",
-        "slack",
-        "plos",
-        "phis",
-        "pstarts",
-        "pstops",
-        "first_round",
-    )
+    __slots__ = ("query", "p", "eta", "slack", "ring")
 
     def __init__(
-        self, query: np.ndarray, p: float, theta: int, eta: int, m: int,
+        self, query: np.ndarray, p: float, theta: int, eta: int,
         alive: np.ndarray,
     ) -> None:
         self.query = query
         self.p = p
-        self.theta = theta
         self.eta = eta
-        # Fused crossing test (same idiom as the engine's Lane): a local
-        # row crosses theta in a round iff the round adds more than
-        # ``slack`` collisions; dead rows carry _SLACK_DEAD.
-        self.slack = np.full(m, _SLACK_DEAD, dtype=np.int32)
-        np.copyto(self.slack, theta, where=alive)
+        self.slack = initial_slack(theta, alive)
         # Previous-round windows (hash-value bounds, shared with the
-        # coordinator) and this shard's previous raw sub-run endpoints.
-        self.plos = np.zeros(eta, dtype=np.int64)
-        self.phis = np.zeros(eta, dtype=np.int64)
-        self.pstarts = np.zeros(eta, dtype=np.int64)
-        self.pstops = np.zeros(eta, dtype=np.int64)
-        self.first_round = True
+        # coordinator) and this shard's previous window entry ranges.
+        self.ring = RingSplit(eta)
+
+
+def _segment_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``starts[s] + j`` for every ``j < lens[s]``, segment by segment."""
+    offsets = np.zeros(lens.shape[0], dtype=np.int64)
+    np.cumsum(lens[:-1], out=offsets[1:])
+    out = np.repeat(starts - offsets, lens)
+    out += np.arange(out.shape[0], dtype=np.int64)
+    return out
 
 
 class ShardSearcher:
@@ -171,6 +172,8 @@ class ShardSearcher:
         # obs-enabled reply path ships deltas of these.
         self.rows_scanned = 0
         self.crossings = 0
+        # Scratch for the crossing kernel; always all-False between scans.
+        self._marks = np.zeros(self.m, dtype=bool)
         # Live-update state (DESIGN §11).  Until the first insert update
         # the shard's point ids are exactly [lo, hi) and local rows are
         # ``gid - lo``; afterwards ``_gid_of`` maps local row -> global id
@@ -193,7 +196,6 @@ class ShardSearcher:
                 float(p),
                 int(theta),
                 int(eta),
-                self.m,
                 self.alive,
             )
 
@@ -301,6 +303,7 @@ class ShardSearcher:
         self.ids = new_ids
         self.positions = new_positions
         self.m = m_new
+        self._marks = np.zeros(m_new, dtype=bool)
         # Global id -> local row map over the grown index.
         lookup = np.full(start + m_batch, -1, dtype=np.int64)
         lookup[self._gid_of] = np.arange(self.m, dtype=np.int64)
@@ -328,11 +331,10 @@ class ShardSearcher:
     ) -> dict:
         """One round's speculative full scan of this shard.
 
-        Replicates the engine's ring split exactly, restricted to the
-        shard: sub-runs preserve full-run order, so ``searchsorted`` on
-        the shard's values restricts the full run's window endpoints and
-        the per-function left/right ring runs are the shard's share of
-        the engine's runs.
+        Sub-runs preserve full-run order, so ``searchsorted`` on the
+        searched values restricts the full run's window endpoints and the
+        engine's ring split yields exactly the shard's share of the
+        engine's left/right ring runs.
         """
         eta = q.eta
         los = np.asarray(los, dtype=np.int64)
@@ -344,28 +346,9 @@ class ShardSearcher:
             starts[i] = np.searchsorted(row, los[i], side="left")
             stops[i] = np.searchsorted(row, his[i], side="right")
         stops = np.maximum(starts, stops)
-        if q.first_round:
-            left_starts, left_stops = starts, stops
-            right_starts = right_stops = stops
-        else:
-            nested = (los <= q.plos) & (q.phis <= his)
-            left_starts = starts
-            left_stops = np.where(
-                nested, np.minimum(q.pstarts, stops), stops
-            )
-            right_starts = np.where(
-                nested, np.maximum(q.pstops, starts), stops
-            )
-            right_stops = stops
-        reply = self._scan(
-            q, left_starts, left_stops, right_starts, right_stops
-        )
-        q.plos[:] = los
-        q.phis[:] = his
-        q.pstarts[:] = starts
-        q.pstops[:] = stops
-        q.first_round = False
-        return reply
+        runs = q.ring.split(los, his, starts, stops)
+        q.ring.advance(los, his, starts, stops)
+        return self._scan(q, *runs)
 
     def _scan(
         self,
@@ -376,109 +359,65 @@ class ShardSearcher:
         right_stops: np.ndarray,
     ) -> dict:
         eta = q.eta
-        m = self.m
-        # Gather the round's entries function-major, left run before
-        # right run — the engine's scan order.
-        seg_rows = np.repeat(np.arange(eta, dtype=np.int64), 2)
+        # Segments function-major, left run before right run: the
+        # engine's scan order.
         seg_starts = np.empty(2 * eta, dtype=np.int64)
         seg_stops = np.empty(2 * eta, dtype=np.int64)
         seg_starts[0::2] = left_starts
         seg_stops[0::2] = left_stops
         seg_starts[1::2] = right_starts
         seg_stops[1::2] = right_stops
-        seg_lens = seg_stops - seg_starts
-        total = int(seg_lens.sum())
-        self.rows_scanned += total
-        # Per-function full-run extents of the two ring runs (-1 = empty).
-        l_lo, l_hi = self._extents(left_starts, left_stops)
-        r_lo, r_hi = self._extents(right_starts, right_stops)
-        if total == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        flat_base = seg_rows * m
-        offsets = np.empty(2 * eta, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(seg_lens[:-1], out=offsets[1:])
-        idx = np.repeat(flat_base + seg_starts - offsets, seg_lens)
-        idx += np.arange(total, dtype=np.int64)
-        if self._lookup is None:
-            sub = self.ids.ravel()[idx] - self.lo  # shard-local point rows
-        else:
-            sub = self._lookup[self.ids.ravel()[idx]]
-        subpos = self.positions.ravel()[idx]
-        func_lens = seg_lens[0::2] + seg_lens[1::2]
-        bounds = np.empty(eta + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(func_lens, out=bounds[1:])
-        # Threshold crossings, engine idiom: bincount finds the few rows
-        # whose count crosses theta this round, a stable rank over just
-        # their occurrences recovers the exact crossing entry.
-        add = np.bincount(sub, minlength=m)
-        crossers = np.flatnonzero(add > q.slack)
-        if crossers.size:
-            lookup = np.zeros(m, dtype=bool)
-            lookup[crossers] = True
-            pos = np.flatnonzero(lookup[sub])
-            psub = sub[pos]
-            order = np.argsort(psub, kind="stable")
-            sid = psub[order]
-            first = np.empty(sid.size, dtype=bool)
-            first[0] = True
-            np.not_equal(sid[1:], sid[:-1], out=first[1:])
-            group_starts = np.flatnonzero(first)
-            group_idx = np.cumsum(first) - 1
-            rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-            hits = rank == q.slack[sid]
-            elems = pos[order[hits]]
-            elems.sort()
+        sub, subpos, owned = self._gather(seg_starts, seg_stops - seg_starts)
+        self.rows_scanned += int(sub.size)
+        # Full-run extents of each segment: its first and last owned
+        # entry (-1 = no owned entry).
+        ends = np.cumsum(owned)
+        nonempty = owned > 0
+        ext_lo = np.full(2 * eta, -1, dtype=np.int64)
+        ext_hi = np.full(2 * eta, -1, dtype=np.int64)
+        ext_lo[nonempty] = subpos[(ends - owned)[nonempty]]
+        ext_hi[nonempty] = subpos[ends[nonempty] - 1]
+        bounds = np.zeros(eta + 1, dtype=np.int64)
+        np.cumsum(owned[0::2] + owned[1::2], out=bounds[1:])
+        add, elems, funcs = crossings(sub, q.slack, bounds, self._marks)
+        if elems.size:
             cross_local = sub[elems]
-            cross_func = np.searchsorted(bounds, elems, side="right") - 1
-            cross_pos = subpos[elems]
             dists = lp_distance(self.data[cross_local], q.query, q.p)
             if self._gid_of is None:
                 gids = cross_local + self.lo
             else:
                 gids = self._gid_of[cross_local]
+            pos = subpos[elems]
         else:
-            gids = cross_func = cross_pos = _EMPTY_I64
+            cross_local = gids = pos = _EMPTY_I64
             dists = _EMPTY_F64
-            cross_local = _EMPTY_I64
+        if add is not None:
+            consume_counts(q.slack, add, cross_local)
         self.crossings += int(gids.size)
-        np.subtract(q.slack, add, out=q.slack, casting="unsafe")
-        if cross_local.size:
-            q.slack[cross_local] = _SLACK_DEAD
         return {
             "gids": gids,
-            "funcs": cross_func,
-            "pos": cross_pos,
+            "funcs": funcs,
+            "pos": pos,
             "dists": dists,
-            "l_lo": l_lo,
-            "l_hi": l_hi,
-            "r_lo": r_lo,
-            "r_hi": r_hi,
+            "l_lo": ext_lo[0::2],
+            "l_hi": ext_hi[0::2],
+            "r_lo": ext_lo[1::2],
+            "r_hi": ext_hi[1::2],
         }
 
-    def _extents(
-        self, run_starts: np.ndarray, run_stops: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Full-run positions (min, max) of each function's sub-run."""
-        eta = run_starts.shape[0]
-        lo = np.full(eta, -1, dtype=np.int64)
-        hi = np.full(eta, -1, dtype=np.int64)
-        nonempty = run_stops > run_starts
-        for i in np.flatnonzero(nonempty):
-            row = self.positions[i]
-            lo[i] = row[run_starts[i]]
-            hi[i] = row[run_stops[i] - 1]
-        return lo, hi
+    def _gather(
+        self, seg_starts: np.ndarray, seg_lens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Owned entries of sub-run segments, in segment order.
+
+        Returns their shard-local rows, their full-run positions, and
+        the owned entry count of each segment (all of it, here).
+        """
+        rows = np.repeat(np.arange(seg_starts.shape[0] // 2, dtype=np.int64), 2)
+        idx = _segment_positions(rows * self.m + seg_starts, seg_lens)
+        gids = self.ids.ravel()[idx]
+        sub = gids - self.lo if self._lookup is None else self._lookup[gids]
+        return sub, self.positions.ravel()[idx], seg_lens
 
 
 class MmapShardSearcher(ShardSearcher):
@@ -510,7 +449,11 @@ class MmapShardSearcher(ShardSearcher):
         data: np.ndarray,
         alive: np.ndarray,
     ) -> None:
-        super().__init__(shard_id, lo, hi, values, ids, None, data, alive)
+        # The shard's data rows are a slice of the mapped data section
+        # (still a read-only view), so local row r is global id lo + r.
+        super().__init__(
+            shard_id, lo, hi, values, ids, None, data[lo:hi], alive
+        )
         # ``open_mmap_shard`` hands each worker a private alive slice.
         self._owns_alive = True
         self.num_rows = int(values.shape[1])
@@ -534,7 +477,7 @@ class MmapShardSearcher(ShardSearcher):
             np.ascontiguousarray(self.values.ravel()[flat].reshape(shape)),
             np.ascontiguousarray(self.ids.ravel()[flat].reshape(shape)),
             np.ascontiguousarray((flat % n).reshape(shape)),
-            np.array(self.data[self.lo : self.hi]),
+            np.array(self.data),
             self.alive,
         )
         searcher._owns_alive = True
@@ -545,133 +488,25 @@ class MmapShardSearcher(ShardSearcher):
         searcher.acked_lsn = self.acked_lsn
         return searcher
 
-    def _scan(
-        self,
-        q: _QueryState,
-        left_starts: np.ndarray,
-        left_stops: np.ndarray,
-        right_starts: np.ndarray,
-        right_stops: np.ndarray,
-    ) -> dict:
-        eta = q.eta
-        n = self.num_rows
-        m = self.m
-        seg_starts = np.empty(2 * eta, dtype=np.int64)
-        seg_stops = np.empty(2 * eta, dtype=np.int64)
-        seg_starts[0::2] = left_starts
-        seg_stops[0::2] = left_stops
-        seg_starts[1::2] = right_starts
-        seg_stops[1::2] = right_stops
-        seg_lens = seg_stops - seg_starts
-        total_full = int(seg_lens.sum())
-        l_lo = np.full(eta, -1, dtype=np.int64)
-        l_hi = np.full(eta, -1, dtype=np.int64)
-        r_lo = np.full(eta, -1, dtype=np.int64)
-        r_hi = np.full(eta, -1, dtype=np.int64)
-        if total_full == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        seg_rows = np.repeat(np.arange(eta, dtype=np.int64), 2)
-        offsets = np.empty(2 * eta, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(seg_lens[:-1], out=offsets[1:])
-        # Full-run positions of every scanned entry, segment-major: this
-        # gather is the real disk read the simulated charge models.
-        run_pos = np.repeat(seg_starts - offsets, seg_lens)
-        run_pos += np.arange(total_full, dtype=np.int64)
-        flat_idx = run_pos + np.repeat(seg_rows * n, seg_lens)
-        gid_all = self.ids.ravel()[flat_idx]
-        keep = (gid_all >= self.lo) & (gid_all < self.hi)
-        seg_col = np.repeat(np.arange(2 * eta, dtype=np.int64), seg_lens)
-        kept_seg = seg_col[keep]
-        sub = gid_all[keep] - self.lo
-        subpos = run_pos[keep]
-        total = int(sub.size)
-        self.rows_scanned += total
-        # Per-segment owned extents: kept_seg is sorted (segments were
-        # gathered in order) and subpos ascends within each segment, so
-        # the extents are the first/last owned entry of each slice.
-        seg_ids = np.arange(2 * eta, dtype=np.int64)
-        first = np.searchsorted(kept_seg, seg_ids, side="left")
-        last = np.searchsorted(kept_seg, seg_ids, side="right")
-        for i in range(eta):
-            a, b = first[2 * i], last[2 * i]
-            if b > a:
-                l_lo[i] = subpos[a]
-                l_hi[i] = subpos[b - 1]
-            a, b = first[2 * i + 1], last[2 * i + 1]
-            if b > a:
-                r_lo[i] = subpos[a]
-                r_hi[i] = subpos[b - 1]
-        if total == 0:
-            return {
-                "gids": _EMPTY_I64,
-                "funcs": _EMPTY_I64,
-                "pos": _EMPTY_I64,
-                "dists": _EMPTY_F64,
-                "l_lo": l_lo,
-                "l_hi": l_hi,
-                "r_lo": r_lo,
-                "r_hi": r_hi,
-            }
-        func_lens = (last - first)[0::2] + (last - first)[1::2]
-        bounds = np.empty(eta + 1, dtype=np.int64)
-        bounds[0] = 0
-        np.cumsum(func_lens, out=bounds[1:])
-        add = np.bincount(sub, minlength=m)
-        crossers = np.flatnonzero(add > q.slack)
-        if crossers.size:
-            lookup = np.zeros(m, dtype=bool)
-            lookup[crossers] = True
-            pos = np.flatnonzero(lookup[sub])
-            psub = sub[pos]
-            order = np.argsort(psub, kind="stable")
-            sid = psub[order]
-            first_occ = np.empty(sid.size, dtype=bool)
-            first_occ[0] = True
-            np.not_equal(sid[1:], sid[:-1], out=first_occ[1:])
-            group_starts = np.flatnonzero(first_occ)
-            group_idx = np.cumsum(first_occ) - 1
-            rank = np.arange(sid.size, dtype=np.int64) - group_starts[group_idx]
-            hits = rank == q.slack[sid]
-            elems = pos[order[hits]]
-            elems.sort()
-            cross_local = sub[elems]
-            cross_func = np.searchsorted(bounds, elems, side="right") - 1
-            cross_pos = subpos[elems]
-            # Distances come straight off the mapped data rows (global
-            # row index == global id until the first update, which
-            # materialises this searcher away).
-            dists = lp_distance(
-                self.data[cross_local + self.lo], q.query, q.p
-            )
-            gids = cross_local + self.lo
-        else:
-            gids = cross_func = cross_pos = _EMPTY_I64
-            dists = _EMPTY_F64
-            cross_local = _EMPTY_I64
-        self.crossings += int(gids.size)
-        np.subtract(q.slack, add, out=q.slack, casting="unsafe")
-        if cross_local.size:
-            q.slack[cross_local] = _SLACK_DEAD
-        return {
-            "gids": gids,
-            "funcs": cross_func,
-            "pos": cross_pos,
-            "dists": dists,
-            "l_lo": l_lo,
-            "l_hi": l_hi,
-            "r_lo": r_lo,
-            "r_hi": r_hi,
-        }
+    def _gather(
+        self, seg_starts: np.ndarray, seg_lens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Owned entries of full-run segments: those with ``lo <= id < hi``.
+
+        Gathering the full segments is the real disk read the simulated
+        charge models; a sub-run preserves full-run order, so the owned
+        entries come out exactly as the shm-packed searcher reads them.
+        """
+        rows = np.repeat(np.arange(seg_starts.shape[0] // 2, dtype=np.int64), 2)
+        run_pos = _segment_positions(seg_starts, seg_lens)
+        gids = self.ids.ravel()[
+            run_pos + np.repeat(rows * self.num_rows, seg_lens)
+        ]
+        keep = (gids >= self.lo) & (gids < self.hi)
+        kept_before = np.zeros(run_pos.shape[0] + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        owned = np.diff(kept_before[np.cumsum(seg_lens)], prepend=0)
+        return gids[keep] - self.lo, run_pos[keep], owned
 
 
 def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
@@ -745,18 +580,15 @@ def worker_main(conn, spec: ShardSpec | MmapShardSpec) -> None:
                 searcher.begin(payload)
                 result = None
             elif op == "round":
-                requests = payload
-                ship_obs = False
+                requests = payload["requests"]
+                ship_obs = payload["obs"]
                 wave_ctx = None
-                if isinstance(payload, dict):
-                    requests = payload["requests"]
-                    ship_obs = bool(payload.get("obs", False))
-                    raw_ctx = payload.get("trace")
-                    if raw_ctx is not None:
-                        # The coordinator's wave-root span context: this
-                        # round's span becomes its child in the shared
-                        # distributed trace (DESIGN §13).
-                        wave_ctx = TraceContext.from_dict(raw_ctx)
+                raw_ctx = payload.get("trace")
+                if raw_ctx is not None:
+                    # The coordinator's wave-root span context: this
+                    # round's span becomes its child in the shared
+                    # distributed trace (DESIGN §13).
+                    wave_ctx = TraceContext.from_dict(raw_ctx)
                 if crash_in_rounds is not None:
                     crash_in_rounds -= 1
                     if crash_in_rounds <= 0:

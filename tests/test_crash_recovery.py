@@ -55,8 +55,9 @@ def _ingest_forever(home: str, acked) -> None:
                 durable.insert(rng.uniform(0, 200, size=(1, 10)))
         else:
             durable.insert(rng.uniform(0, 200, size=(3, 10)))
-        with acked.get_lock():
-            acked.value = durable.last_lsn
+        # Sole writer of an unsynchronised cell: a SIGKILL here can
+        # never leave a lock held for the parent's reads to block on.
+        acked.value = durable.last_lsn
         i += 1
 
 
@@ -66,7 +67,7 @@ def test_sigkill_mid_ingest_recovers_acked_prefix(tmp_path, seed):
     create(index, tmp_path, sync=True).close()
 
     ctx = mp.get_context("fork")
-    acked = ctx.Value("q", 0)
+    acked = ctx.Value("q", 0, lock=False)
     child = ctx.Process(
         target=_ingest_forever, args=(str(tmp_path), acked), daemon=True
     )
@@ -114,7 +115,7 @@ def test_back_to_back_crashes_accumulate(tmp_path):
     ctx = mp.get_context("fork")
     seen_lsns = []
     for round_no in range(2):
-        acked = ctx.Value("q", 0)
+        acked = ctx.Value("q", 0, lock=False)
         child = ctx.Process(
             target=_ingest_forever, args=(str(tmp_path), acked), daemon=True
         )

@@ -2,7 +2,7 @@
 
 These cover the mathematical backbone the paper's guarantees stand on:
 norm identities, the Eq. 11 bounds, Lemma 2/3 scale invariance, window
-arithmetic and page accounting.
+arithmetic, page accounting and the Algorithm-4 crossing kernel.
 """
 
 import math
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.engine import _SLACK_DEAD, crossings
 from repro.core.hashing import original_window, query_centric_window
 from repro.eval.ratio import overall_ratio
 from repro.metrics.collision import collision_probability
@@ -188,6 +189,55 @@ class TestWindowProperties:
         inner = query_centric_window(hq, level)
         outer = query_centric_window(hq, level * factor)
         assert outer[0] <= inner[0] and inner[1] <= outer[1]
+
+
+@st.composite
+def scan_streams(draw):
+    """A scan's row-id stream split into functions, plus per-row slack.
+
+    Functions may scan nothing, and some rows are dead (_SLACK_DEAD).
+    """
+    n_rows = draw(st.integers(min_value=1, max_value=10))
+    lens = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    sub = np.array(
+        draw(st.lists(st.integers(0, n_rows - 1), min_size=sum(lens),
+                      max_size=sum(lens))),
+        dtype=np.int64,
+    )
+    slack = np.array(
+        draw(st.lists(st.one_of(st.integers(0, 4), st.just(_SLACK_DEAD)),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=np.int32,
+    )
+    bounds = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+    return sub, slack, bounds
+
+
+class TestCrossingKernel:
+    @given(scan_streams())
+    @settings(max_examples=200)
+    def test_matches_per_entry_loop(self, stream):
+        sub, slack, bounds = stream
+        scratch = np.zeros(slack.shape[0], dtype=bool)
+        add, elems, rel_func = crossings(sub, slack, bounds, scratch)
+        # Reference: walk the scan entry by entry; a row crosses theta
+        # at the entry that takes its count past its slack.
+        counts = np.zeros(slack.shape[0], dtype=np.int64)
+        want_elems, want_funcs = [], []
+        for f in range(bounds.shape[0] - 1):
+            for pos in range(bounds[f], bounds[f + 1]):
+                row = sub[pos]
+                counts[row] += 1
+                if counts[row] == int(slack[row]) + 1:
+                    want_elems.append(pos)
+                    want_funcs.append(f)
+        assert elems.tolist() == want_elems
+        assert rel_func.tolist() == want_funcs
+        if sub.size:
+            assert add.tolist() == counts.tolist()
+        else:
+            assert add is None
+        assert not scratch.any()
 
 
 class TestPageProperties:

@@ -31,6 +31,14 @@ def service(built_index):
         yield svc
 
 
+def _serve(index, tmp_path, attach, n_shards):
+    """A fleet over ``index``: shm-packed, or mapping a v3 save of it."""
+    if attach == "mmap":
+        path = save_index(index, tmp_path / "index.npz", format_version=3)
+        index = load_index(path, backend="mmap")
+    return ShardedSearchService(index, n_shards=n_shards, attach=attach)
+
+
 def _assert_identical(flat, sharded):
     np.testing.assert_array_equal(flat.ids, sharded.ids)
     np.testing.assert_array_equal(flat.distances, sharded.distances)
@@ -102,20 +110,50 @@ class TestBitIdentity:
             flat, service.search(SearchRequest(query=query, k=7, p=0.6))
         )
 
+    @pytest.mark.parametrize("attach", ["shm", "mmap"])
     def test_cap_and_radius_overrides(
-        self, built_index, small_split, service
+        self, built_index, small_split, tmp_path, attach
     ):
         query = small_split.queries[1]
         flat = built_index.knn(query, 5, p=0.8, cap=40, radius=0.5)
-        _assert_identical(
-            flat, service.search(query, 5, p=0.8, cap=40, radius=0.5)
-        )
+        with _serve(built_index, tmp_path, attach, n_shards=3) as svc:
+            _assert_identical(
+                flat, svc.search(query, 5, p=0.8, cap=40, radius=0.5)
+            )
 
-    def test_original_rehashing_mode(self, small_config, small_split):
+    @pytest.mark.parametrize("attach", ["shm", "mmap"])
+    def test_candidate_cap_fires(
+        self, small_config, small_split, tmp_path, attach
+    ):
+        """A cap that fires mid-round must stop every host alike.
+
+        Near-duplicates of the query share its buckets, so with a tiny
+        starting radius they cross theta in round one while still
+        outside ``c * delta``: the cap fires before k lie within it.
+        """
+        query = small_split.queries[1]
+        cluster = query + np.random.default_rng(3).normal(
+            0.0, 1e-3, size=(12, query.shape[0])
+        )
+        index = LazyLSH(small_config).build(
+            np.vstack([small_split.data, cluster])
+        )
+        with _serve(index, tmp_path, attach, n_shards=3) as svc:
+            for p, cap in ((0.8, 5), (1.0, 8)):
+                flat = index.knn(query, 5, p=p, cap=cap, radius=1e-5)
+                assert flat.termination == "candidate_cap"
+                _assert_identical(
+                    flat, svc.search(query, 5, p=p, cap=cap, radius=1e-5)
+                )
+
+    @pytest.mark.parametrize("attach", ["shm", "mmap"])
+    def test_original_rehashing_mode(
+        self, small_config, small_split, tmp_path, attach
+    ):
         index = LazyLSH(small_config, rehashing="original").build(
             small_split.data
         )
-        with ShardedSearchService(index, n_shards=2) as svc:
+        with _serve(index, tmp_path, attach, n_shards=2) as svc:
             results = svc.search_batch(small_split.queries, 5, p=0.75)
         for query, result in zip(small_split.queries, results):
             _assert_identical(index.knn(query, 5, p=0.75), result)
