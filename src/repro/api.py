@@ -3,7 +3,8 @@
 Every way of asking this library for neighbours — ``LazyLSH.knn`` (one
 query, one metric), ``MultiQueryEngine.knn`` (one query, many metrics),
 ``knn_batch`` (many queries) and the sharded
-:class:`~repro.serve.ShardedSearchService` — speaks the same two types:
+:class:`~repro.serve.ShardedSearchService` (``search`` and
+``search_batch``) — speaks the same two types:
 
 * :class:`SearchRequest` bundles the query vector with every tuning knob
   (``k``, metric ``p`` or a ``metrics`` list, optional ``cap``/``radius``
@@ -17,6 +18,14 @@ query, one metric), ``MultiQueryEngine.knn`` (one query, many metrics),
   ``BatchKnnResult`` expose the same attribute protocol
   (:class:`SearchResultLike`) over their per-metric / per-query parts.
 
+Every entry point turns its arguments into a request through the one
+resolver, :func:`resolve_request`: it accepts a ready ``SearchRequest``
+or explicit ``query, k`` plus keyword knobs, owns the "not both" and
+"``k`` is required" rules and the deprecated positional/``p_values``
+forms, and leaves every domain check to ``SearchRequest`` itself.  The
+hosts add only their own one-line rejections (a single-metric host
+refuses a ``metrics`` list, for example).
+
 The module sits below ``repro.core`` so both the engines and the serving
 layer can import it without cycles.
 """
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -450,11 +459,78 @@ def warn_deprecated(message: str, *, stacklevel: int = 3) -> None:
     warnings.warn(message, DeprecationWarning, stacklevel=stacklevel + 1)
 
 
-def warn_positional(callable_name: str, replacement: str) -> None:
-    """Flag legacy positional args: warn, or error under strict mode."""
-    warn_deprecated(
-        f"passing {replacement} to {callable_name} positionally is "
-        f"deprecated; use the keyword form ({replacement}=...) or a "
-        "SearchRequest",
-        stacklevel=3,
+#: A knob left at its ``SearchRequest`` default counts as not given.
+_KNOB_DEFAULTS = {f.name: f.default for f in fields(SearchRequest)}
+
+
+def _knob_given(name: str, value: Any) -> bool:
+    default = _KNOB_DEFAULTS.get(name)
+    return value is not None and not (default is not None and value == default)
+
+
+def resolve_request(
+    caller: str,
+    query: Any,
+    k: int | None,
+    legacy: tuple = (),
+    *,
+    legacy_name: str = "p",
+    **knobs: Any,
+) -> SearchRequest:
+    """The one validated :class:`SearchRequest` behind a search entry point.
+
+    ``query`` is either a ready ``SearchRequest`` — returned as is, and
+    then ``k``, ``legacy`` and every knob must be left at their defaults
+    — or the query point(s), which are bundled with ``k`` and the knobs
+    that are not ``None`` into a new request, whose constructor runs
+    every domain check.  ``legacy`` holds the deprecated positional
+    tuning argument (at most one, named ``legacy_name``); ``p_values``
+    is the deprecated spelling of ``metrics``.  Both warn, or raise
+    under ``REPRO_STRICT_API=1``, attributed to the entry point's
+    caller: ``caller`` must call this function directly.
+    """
+    if isinstance(query, SearchRequest):
+        if (
+            k is not None
+            or legacy
+            or any(_knob_given(name, value) for name, value in knobs.items())
+        ):
+            raise InvalidParameterError(
+                f"{caller}: pass either a SearchRequest or explicit query/k "
+                "arguments, not both"
+            )
+        return query
+    if k is None:
+        raise InvalidParameterError(
+            "k is required when not passing a SearchRequest"
+        )
+    if legacy:
+        if (
+            len(legacy) > 1
+            or _knob_given(legacy_name, knobs.get(legacy_name))
+            or knobs.get("p_values") is not None
+        ):
+            raise TypeError(
+                f"{caller}() accepts at most one legacy positional argument "
+                f"({legacy_name}); tuning arguments are keyword-only"
+            )
+        warn_deprecated(
+            f"passing {legacy_name} to {caller} positionally is deprecated; "
+            f"use the keyword form ({legacy_name}=...) or a SearchRequest"
+        )
+        knobs[legacy_name] = legacy[0]
+    p_values = knobs.pop("p_values", None)
+    if p_values is not None:
+        if knobs.get("metrics") is not None:
+            raise InvalidParameterError(
+                "pass either metrics or p_values, not both"
+            )
+        warn_deprecated(
+            f"the p_values argument of {caller} is deprecated; use metrics=..."
+        )
+        knobs["metrics"] = p_values
+    if knobs.get("p") is not None and knobs.get("metrics") is not None:
+        raise InvalidParameterError("pass either p or metrics, not both")
+    return SearchRequest(
+        query, k, **{name: v for name, v in knobs.items() if v is not None}
     )

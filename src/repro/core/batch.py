@@ -1,7 +1,10 @@
 """Round-synchronised batched kNN over many query points.
 
-``knn_batch`` answers many ``Np(q, k, c)`` queries in one pass over the
-flat execution engine:
+``knn_batch`` is a thin host: it resolves its arguments into one
+:class:`~repro.api.SearchRequest` and hands the whole ``(m, d)`` query
+matrix to the flat runner, ``LazyLSH._knn_flat`` — the same runner
+behind ``LazyLSH.knn`` (one row, one metric) and
+``MultiQueryEngine.knn`` (one row, many metrics).  Over the batch:
 
 * every query point is hashed with a single :class:`StableHashBank`
   matmul instead of one GEMV per query;
@@ -13,6 +16,8 @@ flat execution engine:
   so per-query results, rounds and I/O accounting stay bit-identical to
   looping :meth:`LazyLSH.knn` — the batch changes the execution plan,
   not the simulated cost model.
+
+``engine="scalar"`` instead loops the reference oracles row by row.
 
 ``share_pages=True`` additionally models one buffer pool shared by the
 whole batch: a page read by any query stays cached for the others, and
@@ -27,17 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro._typing import PointMatrix
-from repro.api import SearchRequest, aggregate_io, warn_positional
-from repro.core.engine import Lane, LaneGroup, execute_rounds
-from repro.core.lazylsh import _KNN_ABORT, KnnResult, LazyLSH, _lane_result
+from repro.api import SearchRequest, aggregate_io, resolve_request
+from repro.core.lazylsh import LazyLSH, request_span
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
-from repro.errors import (
-    DimensionalityMismatchError,
-    InvalidParameterError,
-)
+from repro.errors import InvalidParameterError
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageTracker
 
@@ -89,24 +88,6 @@ class BatchKnnResult:
         return iter(self.results)
 
 
-def _check_queries(index: LazyLSH, queries: PointMatrix) -> np.ndarray:
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.ndim != 2:
-        raise InvalidParameterError(
-            f"queries must be a 2-D (m, d) matrix, got shape {queries.shape}"
-        )
-    if queries.shape[0] < 1:
-        raise InvalidParameterError("queries must contain at least one point")
-    if queries.shape[1] != index.dimensionality:
-        raise DimensionalityMismatchError(
-            f"queries have dimensionality {queries.shape[1]}, index expects "
-            f"{index.dimensionality}"
-        )
-    if not np.all(np.isfinite(queries)):
-        raise InvalidParameterError("queries contain non-finite values")
-    return queries
-
-
 def knn_batch(
     index: LazyLSH,
     queries: PointMatrix | SearchRequest,
@@ -142,297 +123,45 @@ def knn_batch(
     ``query_id`` set to the query's row; ``None`` (the default) runs the
     no-op fast path.
     """
-    if isinstance(queries, SearchRequest):
-        if k is not None or args or p is not None or metrics is not None:
-            raise InvalidParameterError(
-                "pass either a SearchRequest or explicit queries/k "
-                "arguments, not both"
-            )
-        if cap is not None or radius is not None:
-            raise InvalidParameterError(
-                "cap/radius are read from the SearchRequest when one is given"
-            )
-        request = queries
-        queries = request.query
-        k = request.k
-        metrics = request.metrics
-        if metrics is None:
-            p = request.p
-        engine = request.engine
-        cap = request.cap
-        radius = request.radius
-        request_id = request.request_id
-        trace_context = request.trace_context
-    else:
-        request_id = None
-        trace_context = None
-        if k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
-        if args:
-            if len(args) > 1 or p is not None:
-                raise TypeError(
-                    "knn_batch() accepts at most one legacy positional "
-                    "argument (p); tuning arguments are keyword-only"
-                )
-            warn_positional("knn_batch", "p")
-            p = args[0]
+    request = resolve_request(
+        "knn_batch", queries, k, args,
+        p=p, metrics=metrics, engine=engine, cap=cap, radius=radius,
+    )
     if not index.is_built:
         raise InvalidParameterError("knn_batch needs a built LazyLSH index")
-    if engine not in ("flat", "scalar"):
-        raise InvalidParameterError(
-            f"engine must be 'flat' or 'scalar', got {engine!r}"
-        )
-    if metrics is not None and p is not None:
-        raise InvalidParameterError("pass either p or metrics, not both")
-    if metrics is not None and not metrics:
-        raise InvalidParameterError("metrics must be non-empty")
-    if metrics is not None and radius is not None:
-        raise InvalidParameterError(
-            "radius override is only supported for single-metric searches"
-        )
-    if cap is not None and cap < k:
-        raise InvalidParameterError(
-            f"candidate cap must be >= k={k}, got {cap}"
-        )
-    if radius is not None and not radius > 0:
-        raise InvalidParameterError(
-            f"radius override must be > 0, got {radius}"
-        )
-    if share_pages and engine == "scalar":
+    queries = index._check_query(request.query, batch=True)
+    if share_pages and request.engine == "scalar":
         raise InvalidParameterError(
             "share_pages models a batch-wide buffer pool; the scalar loop "
             "runs queries independently and cannot share one"
         )
-    queries = _check_queries(index, queries)
-    if telemetry is None:
-        return _knn_batch_impl(
-            index, queries, k, p, metrics, engine, share_pages, None, cap, radius
-        )
-    ctx = (
-        trace_context
-        if trace_context is not None and trace_context.sampled
-        else None
-    )
-    with telemetry.tracer.span(
-        "knn_batch",
-        context=ctx,
-        engine=engine,
-        k=k,
-        queries=int(queries.shape[0]),
-    ) as span:
-        if request_id is not None:
-            span.set(request_id=request_id)
-        result = _knn_batch_impl(
-            index,
-            queries,
-            k,
-            p,
-            metrics,
-            engine,
-            share_pages,
-            telemetry,
-            cap,
-            radius,
-        )
-    telemetry.finish_trace(ctx)
-    return result
-
-
-def _knn_batch_impl(
-    index: LazyLSH,
-    queries: np.ndarray,
-    k: int,
-    p: float | None,
-    metrics: Sequence[float] | None,
-    engine: str,
-    share_pages: bool,
-    telemetry,
-    cap: float | None = None,
-    radius: float | None = None,
-) -> BatchKnnResult:
-    if metrics is None:
-        p_single = 1.0 if p is None else float(p)
-        if engine == "scalar":
-            return _scalar_single(
-                index, queries, k, p_single, telemetry, cap, radius
-            )
-        return _flat_single(
-            index, queries, k, p_single, share_pages, telemetry, cap, radius
-        )
-    unique = sorted({float(q) for q in metrics})
-    if index.rehashing != "query_centric":
+    if request.metrics is not None and index.rehashing != "query_centric":
         raise InvalidParameterError(
             "the multi-query engine requires query-centric rehashing"
         )
-    if engine == "scalar":
-        return _scalar_multi(index, queries, k, unique, telemetry, cap)
-    return _flat_multi(index, queries, k, unique, share_pages, telemetry, cap)
-
-
-def _scalar_single(
-    index: LazyLSH,
-    queries: np.ndarray,
-    k: int,
-    p: float,
-    telemetry=None,
-    cap: float | None = None,
-    radius: float | None = None,
-) -> BatchKnnResult:
-    results = []
-    for j in range(queries.shape[0]):
-        stats = IOStats()
-        result = index._knn_impl(
-            queries[j],
-            k,
-            p,
-            stats,
-            seen_pages=set(),
-            telemetry=telemetry,
-            query_id=j,
-            cap=cap,
-            radius=radius,
-        )
-        index.io_stats.add_sequential(stats.sequential)
-        index.io_stats.add_random(stats.random)
-        results.append(result)
-    return BatchKnnResult(results=results, io=aggregate_io(results))
-
-
-def _scalar_multi(
-    index: LazyLSH,
-    queries: np.ndarray,
-    k: int,
-    unique: list[float],
-    telemetry=None,
-    cap: float | None = None,
-) -> BatchKnnResult:
-    engine = MultiQueryEngine(index)
-    results = [
-        engine.knn(
-            q, k, metrics=unique, engine="scalar", telemetry=telemetry, cap=cap
-        )
-        for q in queries
-    ]
-    return BatchKnnResult(results=results, io=aggregate_io(results))
-
-
-def _flat_single(
-    index: LazyLSH,
-    queries: np.ndarray,
-    k: int,
-    p: float,
-    share_pages: bool,
-    telemetry=None,
-    cap: float | None = None,
-    radius: float | None = None,
-) -> BatchKnnResult:
-    bank = index._bank
-    assert bank is not None
-    hashes = bank.hash_points(queries)  # one matmul for the whole batch
-    shared = PageTracker() if share_pages else None
-    groups = [
-        index._lane_group(
-            queries[j],
-            k,
-            p,
-            query_hashes=np.ascontiguousarray(hashes[:, j]),
-            shared_pages=shared,
-            cap=cap,
-            radius=radius,
-        )
-        for j in range(queries.shape[0])
-    ]
-    if telemetry is not None:
-        for j, group in enumerate(groups):
-            lane = group.lanes[0]
-            lane.trace = telemetry.query_trace_builder(
-                p=lane.p,
-                k=k,
-                engine="flat",
-                rehashing=index.rehashing,
-                query_id=j,
+    with request_span(
+        telemetry, request, "knn_batch", queries=int(queries.shape[0])
+    ):
+        results: list
+        if request.engine == "scalar":
+            oracle: LazyLSH | MultiQueryEngine = (
+                index if request.metrics is None else MultiQueryEngine(index)
             )
-    execute_rounds(groups, error=_KNN_ABORT)
-    results = []
-    for group in groups:
-        lane = group.lanes[0]
-        results.append(_lane_result(lane))
-        if lane.trace is not None:
-            results[-1].trace = lane.trace.finish(
-                termination=lane.stop_reason,
-                io=lane.io,
-                candidates=results[-1].candidates,
+            results = [
+                oracle._knn_impl(q, request, telemetry=telemetry, query_id=j)
+                for j, q in enumerate(queries)
+            ]
+        else:
+            rows = index._knn_flat(
+                queries,
+                request,
+                shared_pages=PageTracker() if share_pages else None,
+                telemetry=telemetry,
+                query_ids=True,
             )
-            telemetry.record(results[-1].trace)
-        index.io_stats.add_sequential(lane.io.sequential)
-        index.io_stats.add_random(lane.io.random)
-    return BatchKnnResult(results=results, io=aggregate_io(results))
-
-
-def _flat_multi(
-    index: LazyLSH,
-    queries: np.ndarray,
-    k: int,
-    unique: list[float],
-    share_pages: bool,
-    telemetry=None,
-    cap: float | None = None,
-) -> BatchKnnResult:
-    n = index.num_points
-    if not 1 <= k <= n:
-        raise InvalidParameterError(
-            f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-        )
-    bank = index._bank
-    assert bank is not None
-    hashes = bank.hash_points(queries)
-    shared = PageTracker() if share_pages else None
-    cap_value = k + index.beta * n if cap is None else float(cap)
-    groups = []
-    for j in range(queries.shape[0]):
-        lanes = [
-            Lane(q, index.metric_params(q), k, cap_value)
-            for q in unique
-        ]
-        if telemetry is not None:
-            for lane in lanes:
-                lane.trace = telemetry.query_trace_builder(
-                    p=lane.p, k=k, engine="flat", rehashing=index.rehashing
-                )
-        groups.append(
-            LaneGroup(
-                store=index.store,
-                data=index.data,
-                alive=index._alive,
-                c=index.config.c,
-                rehashing=index.rehashing,
-                query=queries[j],
-                query_hashes=np.ascontiguousarray(hashes[:, j]),
-                lanes=lanes,
-                style="multi",
-                shared_pages=shared,
-            )
-        )
-    execute_rounds(
-        groups,
-        error="multi-query did not terminate; this indicates a corrupted index",
-    )
-    results = []
-    for group in groups:
-        per_metric = {lane.p: _lane_result(lane) for lane in group.lanes}
-        if telemetry is not None:
-            for lane in group.lanes:
-                if lane.trace is not None:
-                    per_metric[lane.p].trace = lane.trace.finish(
-                        termination=lane.stop_reason,
-                        io=lane.io,
-                        candidates=per_metric[lane.p].candidates,
-                    )
-                    telemetry.record(per_metric[lane.p].trace)
-        total = aggregate_io(per_metric.values())
-        index.io_stats.add_sequential(total.sequential)
-        index.io_stats.add_random(total.random)
-        results.append(MultiQueryResult(results=per_metric, io=total))
+            results = [
+                row[0] if request.metrics is None
+                else MultiQueryResult.from_parts(row)
+                for row in rows
+            ]
     return BatchKnnResult(results=results, io=aggregate_io(results))

@@ -29,12 +29,16 @@ The round kernel is shared: :func:`round_windows`, :class:`RingSplit`,
 :func:`crossings`, :func:`consume_counts` and :class:`Candidates` are the
 one copy of each Algorithm-4 step, hosted here by :class:`LaneGroup` and
 in the sharded service by the shard workers (:mod:`repro.serve.worker`)
-and the coordinator (:mod:`repro.serve.service`).
+and the coordinator (:mod:`repro.serve.service`).  Lane groups are built
+and run by one runner, ``LazyLSH._knn_flat``, behind ``LazyLSH.knn``,
+``MultiQueryEngine.knn`` and ``knn_batch``.
 
 The engine is a pure execution-plan change: candidate order, termination
 round/function, results, and the simulated sequential/random I/O counts
-are bit-identical to the scalar reference loops (``LazyLSH._knn_impl`` and
-``MultiQueryEngine``'s scalar path), which the paper's evaluation measures.
+are bit-identical to the scalar reference loops, which the paper's
+evaluation measures and the tests keep as oracles: ``LazyLSH._knn_impl``
+(one metric) and ``MultiQueryEngine._knn_impl`` (the Section 4.3 shared
+scan over several metrics).
 
 Why exactness holds
 -------------------
@@ -65,8 +69,10 @@ from repro.storage.pages import PageTracker
 #: engine and the sharded coordinator).
 _MAX_ROUNDS = 128
 
-#: Non-termination diagnostic shared by every kNN path.
+#: Non-termination diagnostics: single-metric kNN paths, and the
+#: level-synchronised multi-metric scan.
 _KNN_ABORT = "knn did not terminate; this indicates a corrupted index"
+_MULTI_ABORT = "multi-query did not terminate; this indicates a corrupted index"
 
 #: Algorithm-4 termination reasons, shared by the flat and scalar paths
 #: (and re-exported by :mod:`repro.obs` for trace consumers).

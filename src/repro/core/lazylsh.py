@@ -20,16 +20,18 @@ counting) and ``range_query`` implements Algorithm 3.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro._typing import IdArray, PointMatrix, PointVector
-from repro.api import SearchRequest, SearchResult, warn_positional
+from repro.api import SearchRequest, SearchResult, resolve_request
 from repro.core.config import LazyLSHConfig
 from repro.core.engine import (
     _KNN_ABORT,
     _MAX_ROUNDS,
+    _MULTI_ABORT,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
     Lane,
@@ -51,7 +53,31 @@ from repro.errors import (
 from repro.metrics.lp import lp_distance, validate_p
 from repro.storage.inverted_index import InvertedListStore
 from repro.storage.io_stats import IOStats
-from repro.storage.pages import PageLayout
+from repro.storage.pages import PageLayout, PageTracker
+
+
+@contextmanager
+def request_span(telemetry, request: SearchRequest, name: str, **attrs):
+    """A core search host's root span, then its finished trace.
+
+    Core hosts record spans only under a caller-sampled
+    ``trace_context`` (the sharded service head-samples instead).
+    Yields that context, or None when the request carries no sampled
+    one; without ``telemetry`` nothing is opened.
+    """
+    ctx = request.trace_context
+    if ctx is not None and not ctx.sampled:
+        ctx = None
+    if telemetry is None:
+        yield ctx
+        return
+    with telemetry.tracer.span(
+        name, context=ctx, engine=request.engine, k=request.k, **attrs
+    ) as span:
+        if request.request_id is not None:
+            span.set(request_id=request.request_id)
+        yield ctx
+    telemetry.finish_trace(ctx)
 
 
 def _lane_result(lane: Lane) -> "KnnResult":
@@ -455,16 +481,24 @@ class LazyLSH:
     # Queries
     # ------------------------------------------------------------------
 
-    def _check_query(self, query: PointVector) -> PointVector:
+    def _check_query(self, query, *, batch: bool = False) -> np.ndarray:
+        """Validate one query vector against the built index.
+
+        With ``batch`` the query is an ``(m, d)`` matrix instead (a
+        vector counts as one row).  Returns the float64 array.
+        """
         self._require_built()
         query = np.asarray(query, dtype=np.float64)
-        if query.ndim != 1:
+        if batch:
+            query = np.atleast_2d(query)
+        if query.ndim != (2 if batch else 1):
+            kind = "an (m, d) matrix" if batch else "a single vector"
             raise InvalidParameterError(
-                f"query must be a single vector, got shape {query.shape}"
+                f"query must be {kind}, got shape {query.shape}"
             )
-        if query.shape[0] != self.dimensionality:
+        if query.shape[-1] != self.dimensionality:
             raise DimensionalityMismatchError(
-                f"query has dimensionality {query.shape[0]}, index expects "
+                f"query has dimensionality {query.shape[-1]}, index expects "
                 f"{self.dimensionality}"
             )
         if not np.all(np.isfinite(query)):
@@ -578,80 +612,28 @@ class LazyLSH:
           structured :class:`~repro.obs.QueryTrace` per call; ``None``
           (the default) runs the no-op fast path.
         """
-        request_id: str | None = None
-        trace_context = None
-        deadline_ms: float | None = None
-        if isinstance(query, SearchRequest):
-            if k is not None or args:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            request = query
-            if request.metrics is not None:
-                raise InvalidParameterError(
-                    "LazyLSH.knn answers a single metric; use "
-                    "MultiQueryEngine.knn or knn_batch(metrics=...) for a "
-                    "metrics list"
-                )
-            query = request.query
-            k = request.k
-            p = request.p
-            engine = request.engine
-            cap = request.cap
-            radius = request.radius
-            request_id = request.request_id
-            trace_context = request.trace_context
-            deadline_ms = request.deadline_ms
-        else:
-            if k is None:
-                raise InvalidParameterError(
-                    "k is required when not passing a SearchRequest"
-                )
-            if args:
-                if len(args) > 1:
-                    raise TypeError(
-                        "knn() accepts at most one legacy positional "
-                        "argument (p); tuning arguments are keyword-only"
-                    )
-                warn_positional("LazyLSH.knn", "p")
-                p = args[0]
-        if engine not in ("flat", "scalar"):
-            raise InvalidParameterError(
-                f"engine must be 'flat' or 'scalar', got {engine!r}"
-            )
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if radius is not None and not radius > 0:
-            raise InvalidParameterError(
-                f"radius override must be > 0, got {radius}"
-            )
-        # ``trace_context`` was coerced to a TraceContext by the
-        # SearchRequest; the sampled flag is the span-recording gate.
-        # (Checked inline: importing repro.obs here would cycle through
-        # the baselines package init.)
-        ctx = (
-            trace_context
-            if trace_context is not None and trace_context.sampled
-            else None
+        request = resolve_request(
+            "LazyLSH.knn", query, k, args,
+            p=p, engine=engine, cap=cap, radius=radius,
         )
+        if request.metrics is not None:
+            raise InvalidParameterError(
+                "LazyLSH.knn answers a single metric; use "
+                "MultiQueryEngine.knn or knn_batch(metrics=...) for a "
+                "metrics list"
+            )
+        query = self._check_query(request.query)
+        deadline_ms = request.deadline_ms
         start = time.perf_counter() if deadline_ms is not None else 0.0
-        if telemetry is None:
-            result = self._knn_dispatch(query, k, p, engine, None, cap, radius)
-        else:
-            with telemetry.tracer.span(
-                "lazylsh.knn", context=ctx, engine=engine, k=k
-            ) as span:
-                if request_id is not None:
-                    span.set(request_id=request_id)
-                result = self._knn_dispatch(
-                    query, k, p, engine, telemetry, cap, radius
-                )
-            telemetry.finish_trace(ctx)
-        if request_id is not None:
-            result.request_id = request_id
+        with request_span(telemetry, request, "lazylsh.knn") as ctx:
+            if request.engine == "scalar":
+                result = self._knn_impl(query, request, telemetry=telemetry)
+            else:
+                result = self._knn_flat(
+                    query[None, :], request, telemetry=telemetry
+                )[0][0]
+        if request.request_id is not None:
+            result.request_id = request.request_id
         if ctx is not None:
             result.trace_id = ctx.trace_id
         if deadline_ms is not None:
@@ -663,136 +645,132 @@ class LazyLSH:
                         deadline_ms=deadline_ms,
                         elapsed_seconds=elapsed,
                         where="lazylsh.knn",
-                        request_id=request_id,
+                        request_id=request.request_id,
                     )
         return result
 
-    def _knn_dispatch(
-        self,
-        query: PointVector,
-        k: int,
-        p: float,
-        engine: str,
-        telemetry,
-        cap: float | None = None,
-        radius: float | None = None,
-    ) -> KnnResult:
-        if engine == "scalar":
-            query = self._check_query(query)
-            stats = IOStats()
-            # A fresh per-query page cache: pages re-touched by successive
-            # rehashing rounds (ring boundaries) stay in the buffer pool
-            # for the duration of one query and are charged once.
-            result = self._knn_impl(
-                query,
-                k,
-                p,
-                stats,
-                seen_pages=set(),
-                telemetry=telemetry,
-                cap=cap,
-                radius=radius,
-            )
-            self.io_stats.add_sequential(stats.sequential)
-            self.io_stats.add_random(stats.random)
-            return result
-        group = self._lane_group(
-            self._check_query(query), k, p, cap=cap, radius=radius
-        )
-        lane = group.lanes[0]
-        if telemetry is not None:
-            lane.trace = telemetry.query_trace_builder(
-                p=lane.p, k=k, engine="flat", rehashing=self.rehashing
-            )
-        execute_rounds([group], error=_KNN_ABORT)
-        result = _lane_result(lane)
-        if lane.trace is not None:
-            result.trace = lane.trace.finish(
-                termination=lane.stop_reason,
-                io=lane.io,
-                candidates=result.candidates,
-            )
-            telemetry.record(result.trace)
-        self.io_stats.add_sequential(lane.io.sequential)
-        self.io_stats.add_random(lane.io.random)
-        return result
+    def _plan(
+        self, request: SearchRequest
+    ) -> tuple[list[float], list[MetricParams], float]:
+        """A request's metrics, their parameters and its candidate budget.
 
-    def _lane_group(
-        self,
-        query: PointVector,
-        k: int,
-        p: float,
-        *,
-        query_hashes: np.ndarray | None = None,
-        shared_pages=None,
-        cap: float | None = None,
-        radius: float | None = None,
-    ) -> LaneGroup:
-        """Build the flat-engine lane group for one ``(query, p)`` pair.
-
-        ``query`` must already be validated; parameter checks run in the
-        same order as the scalar loop so error behaviour is unchanged.
-        ``query_hashes`` lets batched callers reuse a single hashing
-        matmul over all query points; ``cap``/``radius`` override the
-        candidate budget and starting radius (``None`` keeps the paper's
-        ``k + beta * n`` and ``1 / r_hat``).
+        A ``p`` request plans that one metric, a ``metrics`` request every
+        distinct entry in ascending order.  The checks run in the scalar
+        loops' order: the metric, ``k`` against the live points, then the
+        parameters each metric needs from the materialised bank.
         """
-        p = validate_p(p)
+        if request.metrics is None:
+            metrics = [validate_p(request.p)]
+        else:
+            metrics = sorted(set(request.metrics))
+        k = request.k
         n = self.num_points
         if not 1 <= k <= n:
             raise InvalidParameterError(
                 f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
             )
-        params = self.metric_params(p)
+        params = [self.metric_params(p) for p in metrics]
+        cap = k + self._beta * n if request.cap is None else float(request.cap)
+        return metrics, params, cap
+
+    def _knn_flat(
+        self,
+        queries: np.ndarray,
+        request: SearchRequest,
+        *,
+        shared_pages: PageTracker | None = None,
+        telemetry=None,
+        query_ids: bool = False,
+    ) -> list[list[KnnResult]]:
+        """The flat engine over every row of ``queries`` (validated).
+
+        Each row is one :class:`~repro.core.engine.LaneGroup` with a lane
+        per planned metric, and all rows run round-synchronised.  A ``p``
+        request runs ``style="single"``: the radius starts at
+        ``request.radius`` (default ``1 / r_hat``) and grows by ``c`` per
+        round, as in :meth:`_knn_impl`.  A ``metrics`` request runs
+        ``style="multi"``: round ``j`` scans level ``c**j`` for every
+        metric at once (Section 4.3).  ``shared_pages`` is one buffer pool
+        for the whole batch.
+
+        Returns each row's per-metric :class:`KnnResult` list.  With
+        ``telemetry`` every result carries its recorded trace, numbered
+        by its row when ``query_ids`` is set and by the telemetry's own
+        counter otherwise.  The I/O is charged to :attr:`io_stats`.
+        """
+        metrics, params, cap = self._plan(request)
+        style = "single" if request.metrics is None else "multi"
+        k = request.k
         assert self._bank is not None and self._store is not None and self._data is not None
-        cap_value = k + self._beta * n if cap is None else float(cap)
-        lane = Lane(p, params, k, cap_value)
-        if radius is not None:
-            lane.delta = float(radius)
-        if query_hashes is None:
-            query_hashes = self._bank.hash_point(query)
-        return LaneGroup(
-            store=self._store,
-            data=self._data,
-            alive=self._alive,
-            c=self.config.c,
-            rehashing=self.rehashing,
-            query=query,
-            query_hashes=query_hashes,
-            lanes=[lane],
-            style="single",
-            shared_pages=shared_pages,
+        hashes = self._bank.hash_points(queries)  # one matmul for all rows
+        groups = []
+        for j in range(queries.shape[0]):
+            lanes = [Lane(p, prm, k, cap) for p, prm in zip(metrics, params)]
+            if request.radius is not None:
+                lanes[0].delta = float(request.radius)
+            if telemetry is not None:
+                for lane in lanes:
+                    lane.trace = telemetry.query_trace_builder(
+                        p=lane.p,
+                        k=k,
+                        engine="flat",
+                        rehashing=self.rehashing,
+                        query_id=j if query_ids else None,
+                    )
+            groups.append(
+                LaneGroup(
+                    store=self._store,
+                    data=self._data,
+                    alive=self._alive,
+                    c=self.config.c,
+                    rehashing=self.rehashing,
+                    query=queries[j],
+                    query_hashes=np.ascontiguousarray(hashes[:, j]),
+                    lanes=lanes,
+                    style=style,
+                    shared_pages=shared_pages,
+                )
+            )
+        execute_rounds(
+            groups, error=_KNN_ABORT if style == "single" else _MULTI_ABORT
         )
+        rows = []
+        for group in groups:
+            row = []
+            for lane in group.lanes:
+                result = _lane_result(lane)
+                if lane.trace is not None:
+                    result.trace = lane.trace.finish(
+                        termination=lane.stop_reason,
+                        io=lane.io,
+                        candidates=result.candidates,
+                    )
+                    telemetry.record(result.trace)
+                self.io_stats.merge(lane.io)
+                row.append(result)
+            rows.append(row)
+        return rows
 
     def _knn_impl(
         self,
         query: PointVector,
-        k: int,
-        p: float,
-        stats: IOStats,
+        request: SearchRequest,
         *,
-        seen_pages: set[tuple[int, int]] | None = None,
-        fetched: np.ndarray | None = None,
         telemetry=None,
         query_id: int | None = None,
-        cap: float | None = None,
-        radius: float | None = None,
     ) -> KnnResult:
-        """Algorithm 4 body, shareable by the multi-query engine.
+        """Algorithm 4 as a plain loop: the single-metric test oracle.
 
-        ``seen_pages``/``fetched`` let a batch of queries over several
-        metrics share sequential page reads and candidate fetches
-        (Section 4.3); plain ``knn`` passes neither.  ``cap``/``radius``
-        override the candidate budget and starting radius.
+        ``query`` must already be validated; the request supplies ``k``,
+        ``p`` and the ``cap``/``radius`` overrides.  Every query reads
+        through a fresh page cache: pages re-touched by successive
+        rehashing rounds (ring boundaries) stay in the buffer pool for
+        the duration of one query and are charged once.  The I/O is
+        charged to :attr:`io_stats`.
         """
-        p = validate_p(p)
-        n = self.num_points
+        (p,), (params,), cap = self._plan(request)
+        k = request.k
         n_rows = self.num_rows
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-            )
-        params = self.metric_params(p)
         assert self._bank is not None and self._store is not None and self._data is not None
         trace = None
         if telemetry is not None:
@@ -803,15 +781,18 @@ class LazyLSH:
                 rehashing=self.rehashing,
                 query_id=query_id,
             )
+        stats = IOStats()
+        seen_pages: set[tuple[int, int]] = set()
         theta = params.theta
-        cap = k + self._beta * n if cap is None else float(cap)
         counts = np.zeros(n_rows, dtype=np.int32)
         is_candidate = np.zeros(n_rows, dtype=bool)
         cand_ids: list[int] = []
         cand_dists: list[float] = []
         query_hashes = self._bank.hash_point(query)
         prev_windows: list[tuple[int, int]] | None = None
-        delta = 1.0 / params.r_hat if radius is None else float(radius)
+        delta = (
+            1.0 / params.r_hat if request.radius is None else float(request.radius)
+        )
         rounds = 0
         done = False
         reason = ""
@@ -852,12 +833,7 @@ class LazyLSH:
                         is_candidate[crossed] = True
                         if trace is not None:
                             trace.add_crossings(int(crossed.size))
-                        if fetched is None:
-                            stats.add_random(int(crossed.size))
-                        else:
-                            fresh = crossed[~fetched[crossed]]
-                            fetched[crossed] = True
-                            stats.add_random(int(fresh.size))
+                        stats.add_random(int(crossed.size))
                         dists = lp_distance(self._data[crossed], query, p)
                         cand_ids.extend(int(x) for x in crossed)
                         cand_dists.extend(float(x) for x in dists)
@@ -890,6 +866,7 @@ class LazyLSH:
                 termination=reason, io=stats, candidates=len(cand_ids)
             )
             telemetry.record(finished)
+        self.io_stats.merge(stats)
         return KnnResult(
             ids=ids,
             distances=dists,

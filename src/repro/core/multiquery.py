@@ -25,22 +25,20 @@ paper reports (Figure 12):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from repro._typing import PointVector
-from repro.api import SearchRequest, warn_deprecated, warn_positional
+from repro.api import SearchRequest, aggregate_io, resolve_request
 from repro.core.engine import (
     _MAX_ROUNDS,
+    _MULTI_ABORT,
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
-    Lane,
-    LaneGroup,
-    execute_rounds,
 )
-from repro.core.lazylsh import KnnResult, LazyLSH, _lane_result
+from repro.core.lazylsh import KnnResult, LazyLSH, request_span
 from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
@@ -89,6 +87,11 @@ class MultiQueryResult:
 
     def __getitem__(self, p: float) -> KnnResult:
         return self.results[p]
+
+    @classmethod
+    def from_parts(cls, parts: list[KnnResult]) -> "MultiQueryResult":
+        """Key per-metric results by ``p`` and total their I/O."""
+        return cls(results={r.p: r for r in parts}, io=aggregate_io(parts))
 
 
 class _MetricState:
@@ -180,122 +183,64 @@ class MultiQueryEngine:
         every metric) and ``telemetry`` (one
         :class:`~repro.obs.QueryTrace` per metric).
         """
-        if isinstance(query, SearchRequest):
-            if k is not None or args or metrics is not None or p_values is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            request = query
-            if request.radius is not None:
-                raise InvalidParameterError(
-                    "radius overrides are not supported by the multi-query "
-                    "engine (the shared scan requires delta_0 = 1 / r_hat)"
-                )
-            query = request.query
-            k = request.k
-            metrics = (
-                request.metrics if request.metrics is not None else (request.p,)
-            )
-            engine = request.engine
-            cap = request.cap
-            request_id = request.request_id
-            trace_context = request.trace_context
-        else:
-            request_id = None
-            trace_context = None
-            if k is None:
-                raise InvalidParameterError(
-                    "k is required when not passing a SearchRequest"
-                )
-            if args:
-                if len(args) > 1 or metrics is not None or p_values is not None:
-                    raise TypeError(
-                        "knn() accepts at most one legacy positional "
-                        "argument (the metrics list); tuning arguments "
-                        "are keyword-only"
-                    )
-                warn_positional("MultiQueryEngine.knn", "metrics")
-                metrics = args[0]
-            elif p_values is not None:
-                if metrics is not None:
-                    raise InvalidParameterError(
-                        "pass either metrics or p_values, not both"
-                    )
-                warn_deprecated(
-                    "the p_values argument of MultiQueryEngine.knn is "
-                    "deprecated; use metrics=...",
-                    stacklevel=2,
-                )
-                metrics = p_values
-        if engine not in ("flat", "scalar"):
+        request = resolve_request(
+            "MultiQueryEngine.knn", query, k, args, legacy_name="metrics",
+            metrics=metrics, p_values=p_values, engine=engine, cap=cap,
+        )
+        if request.radius is not None:
             raise InvalidParameterError(
-                f"engine must be 'flat' or 'scalar', got {engine!r}"
+                "radius overrides are not supported by the multi-query "
+                "engine (the shared scan requires delta_0 = 1 / r_hat)"
             )
-        if not metrics:
-            raise InvalidParameterError("metrics must be non-empty")
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if telemetry is not None:
-            ctx = (
-                trace_context
-                if trace_context is not None and trace_context.sampled
-                else None
-            )
-            with telemetry.tracer.span(
-                "multiquery.knn",
-                context=ctx,
-                engine=engine,
-                k=k,
-                metrics=len(metrics),
-            ) as span:
-                if request_id is not None:
-                    span.set(request_id=request_id)
-                result = self._knn_impl(
-                    query, k, metrics, engine, telemetry, cap
+        if request.metrics is None:
+            if request is not query:  # explicit form: metrics are required
+                raise InvalidParameterError("metrics must be non-empty")
+            request = replace(request, metrics=(request.p,))
+        query = self.index._check_query(request.query)
+        with request_span(
+            telemetry, request, "multiquery.knn", metrics=len(request.metrics)
+        ):
+            if request.engine == "scalar":
+                result = self._knn_impl(query, request, telemetry=telemetry)
+            else:
+                (parts,) = self.index._knn_flat(
+                    query[None, :], request, telemetry=telemetry
                 )
-            telemetry.finish_trace(ctx)
-            return result
-        return self._knn_impl(query, k, metrics, engine, None, cap)
+                result = MultiQueryResult.from_parts(parts)
+        return result
 
     def _knn_impl(
         self,
         query: PointVector,
-        k: int,
-        p_values: Sequence[float],
-        engine: str,
-        telemetry,
-        cap: float | None = None,
+        request: SearchRequest,
+        *,
+        telemetry=None,
+        query_id: int | None = None,
     ) -> MultiQueryResult:
-        unique = sorted({float(p) for p in p_values})
+        """The level-synchronised shared scan as a plain loop: the test
+        oracle of the ``style="multi"`` flat runner.
+
+        ``query`` must already be validated; the request supplies ``k``,
+        ``metrics`` and the ``cap`` override.  With ``telemetry`` every
+        metric's trace is numbered ``query_id`` (or by the telemetry's
+        counter when None).  The I/O is charged to the index.
+        """
         index = self.index
-        n = index.num_points
+        unique, all_params, cap_value = index._plan(request)
+        k = request.k
         n_rows = index.num_rows
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, got {k}"
-            )
-        query = np.asarray(query, dtype=np.float64)
-        cap_value = k + index.beta * n if cap is None else float(cap)
-        if engine == "flat":
-            return self._knn_flat(query, k, unique, telemetry, cap_value)
-        # Validate every metric up front so no partial work is wasted.
         states = [
-            _MetricState(
-                p,
-                index.metric_params(p),
-                n_rows,
-                k,
-                cap_value,
-            )
-            for p in unique
+            _MetricState(p, params, n_rows, k, cap_value)
+            for p, params in zip(unique, all_params)
         ]
         if telemetry is not None:
             for state in states:
                 state.trace = telemetry.query_trace_builder(
-                    p=state.p, k=k, engine="scalar", rehashing=index.rehashing
+                    p=state.p,
+                    k=k,
+                    engine="scalar",
+                    rehashing=index.rehashing,
+                    query_id=query_id,
                 )
         c = index.config.c
         data = index.data
@@ -313,9 +258,7 @@ class MultiQueryEngine:
         while any(state.active for state in states):
             round_index += 1
             if round_index >= _MAX_ROUNDS:
-                raise RuntimeError(
-                    "multi-query did not terminate; this indicates a corrupted index"
-                )
+                raise RuntimeError(_MULTI_ABORT)
             level = c**round_index
             half = int(np.floor(level / 2.0))
             rounders = [state for state in states if state.active]
@@ -395,79 +338,17 @@ class MultiQueryEngine:
                         ),
                     )
             prev_half = half
-        total = IOStats()
-        results: dict[float, KnnResult] = {}
+        parts = []
         for state in states:
-            results[state.p] = state.finish()
+            result = state.finish()
             if state.trace is not None:
-                results[state.p].trace = state.trace.finish(
+                result.trace = state.trace.finish(
                     termination=state.reason,
                     io=state.io,
                     candidates=len(state.cand_ids),
                 )
-                telemetry.record(results[state.p].trace)
-            total.add_sequential(state.io.sequential)
-            total.add_random(state.io.random)
-        self.index.io_stats.add_sequential(total.sequential)
-        self.index.io_stats.add_random(total.random)
-        return MultiQueryResult(results=results, io=total)
-
-    def _knn_flat(
-        self,
-        query: np.ndarray,
-        k: int,
-        unique: list[float],
-        telemetry=None,
-        cap: float | None = None,
-    ) -> MultiQueryResult:
-        """Flat-engine execution of the level-synchronised batch loop.
-
-        One :class:`~repro.core.engine.LaneGroup` holds a lane per
-        metric; the engine replays the scalar loop's shared scans,
-        smallest-``p`` sequential attribution and fetched-object dedup.
-        """
-        index = self.index
-        n = index.num_points
-        cap_value = k + index.beta * n if cap is None else float(cap)
-        lanes = [
-            Lane(p, index.metric_params(p), k, cap_value)
-            for p in unique
-        ]
-        if telemetry is not None:
-            for lane in lanes:
-                lane.trace = telemetry.query_trace_builder(
-                    p=lane.p, k=k, engine="flat", rehashing=index.rehashing
-                )
-        bank = index._bank
-        assert bank is not None
-        group = LaneGroup(
-            store=index.store,
-            data=index.data,
-            alive=index._alive,
-            c=index.config.c,
-            rehashing=index.rehashing,
-            query=query,
-            query_hashes=bank.hash_point(query),
-            lanes=lanes,
-            style="multi",
-        )
-        execute_rounds(
-            [group],
-            error="multi-query did not terminate; this indicates a corrupted index",
-        )
-        total = IOStats()
-        results: dict[float, KnnResult] = {}
-        for lane in lanes:
-            results[lane.p] = _lane_result(lane)
-            if lane.trace is not None:
-                results[lane.p].trace = lane.trace.finish(
-                    termination=lane.stop_reason,
-                    io=lane.io,
-                    candidates=results[lane.p].candidates,
-                )
-                telemetry.record(results[lane.p].trace)
-            total.add_sequential(lane.io.sequential)
-            total.add_random(lane.io.random)
-        index.io_stats.add_sequential(total.sequential)
-        index.io_stats.add_random(total.random)
-        return MultiQueryResult(results=results, io=total)
+                telemetry.record(result.trace)
+            parts.append(result)
+        multi = MultiQueryResult.from_parts(parts)
+        index.io_stats.merge(multi.io)
+        return multi

@@ -69,7 +69,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.api import SearchRequest, SearchResult
+from repro.api import SearchRequest, SearchResult, resolve_request
 from repro.core.engine import (
     _HULL_EMPTY_FIRST,
     _KNN_ABORT,
@@ -84,7 +84,6 @@ from repro.errors import (
     ReproError,
     WalGapError,
 )
-from repro.metrics.lp import validate_p
 from repro.obs.explain import build_explain
 from repro.obs.query_trace import QueryTraceBuilder
 from repro.obs.trace_context import new_request_id
@@ -866,38 +865,25 @@ class ShardedSearchService:
         ``explain=True`` attaches a structured EXPLAIN record (DESIGN
         §15) to ``result.explain``; answers stay bit-identical.
         """
-        if isinstance(query, SearchRequest):
-            if k is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit query/k "
-                    "arguments, not both"
-                )
-            request = query
-            if request.metrics is not None:
-                raise InvalidParameterError(
-                    "ShardedSearchService.search answers a single metric; "
-                    "use MultiQueryEngine.knn or knn_batch(metrics=...) for "
-                    "a metrics list"
-                )
-            query = request.query
-            k = request.k
-            p = request.p
-            cap = request.cap
-            radius = request.radius
-            request_id = request.request_id
-            trace_context = request.trace_context
-            deadline_ms = request.deadline_ms
-            explain = request.explain
-        elif k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
-        query = self.index._check_query(query)
-        return self.search_batch(
-            query[None, :], k, p=p, cap=cap, radius=radius,
-            telemetry=telemetry, request_id=request_id,
+        request = resolve_request(
+            "ShardedSearchService.search", query, k,
+            p=p, cap=cap, radius=radius, request_id=request_id,
             trace_context=trace_context, deadline_ms=deadline_ms,
             explain=explain,
+        )
+        if request.metrics is not None:
+            raise InvalidParameterError(
+                "ShardedSearchService.search answers a single metric; "
+                "use MultiQueryEngine.knn or knn_batch(metrics=...) for "
+                "a metrics list"
+            )
+        query = self.index._check_query(request.query)
+        return self.search_batch(
+            query[None, :], request.k, p=request.p, cap=request.cap,
+            radius=request.radius, telemetry=telemetry,
+            request_id=request.request_id,
+            trace_context=request.trace_context,
+            deadline_ms=request.deadline_ms, explain=request.explain,
         )[0]
 
     def search_batch(
@@ -936,86 +922,46 @@ class ShardedSearchService:
         Thread-safe: the wave holds ``self.lock`` (re-entrant), so
         concurrent callers and ``ingest`` are serialised.
         """
-        with self.lock:
-            return self._search_batch_locked(
-                queries, k, p=p, cap=cap, radius=radius, telemetry=telemetry,
-                request_id=request_id, trace_context=trace_context,
-                deadline_ms=deadline_ms, explain=explain,
+        if isinstance(queries, np.ndarray) and queries.ndim == 2 and not len(queries):
+            return []  # an empty wave; a SearchRequest is never empty
+        request = resolve_request(
+            "ShardedSearchService.search_batch", queries, k,
+            p=p, cap=cap, radius=radius, request_id=request_id,
+            trace_context=trace_context, deadline_ms=deadline_ms,
+            explain=explain,
+        )
+        if request.metrics is not None:
+            raise InvalidParameterError(
+                "ShardedSearchService answers a single metric per wave; "
+                "use MultiQueryEngine.knn or knn_batch(metrics=...) for "
+                "a metrics list"
             )
+        with self.lock:
+            return self._search_batch_locked(request, telemetry)
 
     def _search_batch_locked(
-        self,
-        queries,
-        k: int | None = None,
-        *,
-        p: float = 1.0,
-        cap: float | None = None,
-        radius: float | None = None,
-        telemetry=None,
-        request_id: str | None = None,
-        trace_context=None,
-        deadline_ms: float | None = None,
-        explain: bool = False,
+        self, request: SearchRequest, telemetry
     ) -> list[SearchResult]:
         if self._closed:
             raise ReproError("service is closed")
-        if isinstance(queries, SearchRequest):
-            if k is not None:
-                raise InvalidParameterError(
-                    "pass either a SearchRequest or explicit queries/k "
-                    "arguments, not both"
-                )
-            request = queries
-            if request.metrics is not None:
-                raise InvalidParameterError(
-                    "ShardedSearchService answers a single metric per wave; "
-                    "use MultiQueryEngine.knn or knn_batch(metrics=...) for "
-                    "a metrics list"
-                )
-            queries = request.query
-            k = request.k
-            p = request.p
-            cap = request.cap
-            radius = request.radius
-            request_id = request.request_id
-            trace_context = request.trace_context
-            deadline_ms = request.deadline_ms
-            explain = request.explain
-        elif k is None:
-            raise InvalidParameterError(
-                "k is required when not passing a SearchRequest"
-            )
         index = self.index
-        queries = np.ascontiguousarray(np.atleast_2d(
-            np.asarray(queries, dtype=np.float64)
-        ))
-        if queries.ndim != 2 or queries.shape[1] != index.dimensionality:
+        queries = np.ascontiguousarray(np.atleast_2d(request.query))
+        if queries.shape[1] != index.dimensionality:
             raise InvalidParameterError(
                 f"queries must be a (m, {index.dimensionality}) matrix, got "
                 f"shape {queries.shape}"
             )
-        if queries.shape[0] == 0:
-            return []
-        if not np.all(np.isfinite(queries)):
-            raise InvalidParameterError("queries contain non-finite values")
-        p = validate_p(p)
-        n = index.num_points
-        if not 1 <= k <= n:
-            raise InvalidParameterError(
-                f"k must lie in [1, {n}] for a dataset of {n} live points, "
-                f"got {k}"
-            )
-        if cap is not None and cap < k:
-            raise InvalidParameterError(
-                f"candidate cap must be >= k={k}, got {cap}"
-            )
-        if radius is not None and not radius > 0:
-            raise InvalidParameterError(
-                f"radius override must be > 0, got {radius}"
-            )
-        params = index.metric_params(p)
-        cap_value = k + index.beta * n if cap is None else float(cap)
-        delta0 = 1.0 / float(params.r_hat) if radius is None else float(radius)
+        (p,), (params,), cap_value = index._plan(request)
+        k = request.k
+        delta0 = (
+            1.0 / float(params.r_hat)
+            if request.radius is None
+            else float(request.radius)
+        )
+        request_id = request.request_id
+        trace_context = request.trace_context
+        deadline_ms = request.deadline_ms
+        explain = request.explain
         hashes = index._bank.hash_points(queries)  # one matmul for the wave
         if telemetry is None:
             telemetry = self.telemetry  # service-level fallback

@@ -218,6 +218,23 @@ class TestTraceEquivalence:
             assert a.io_delta_sum().to_dict() == result.io.to_dict()
 
 
+    @pytest.mark.parametrize("engine", ["flat", "scalar"])
+    def test_metrics_batch_traces_numbered_by_row(self, engine_split, engine):
+        index = LazyLSH(_config()).build(engine_split.data)
+        telemetry = Telemetry()
+        batch = knn_batch(
+            index,
+            engine_split.queries,
+            10,
+            metrics=(0.5, 1.0),
+            engine=engine,
+            telemetry=telemetry,
+        )
+        assert [t.query_id for t in telemetry.traces] == [0, 0, 1, 1, 2, 2]
+        for row, multi in enumerate(batch.results):
+            assert [multi[p].trace.query_id for p in multi.metrics] == [row] * 2
+
+
 class TestValidation:
     def test_knn_rejects_unknown_engine(self, dual_index, engine_split):
         with pytest.raises(InvalidParameterError, match="engine"):

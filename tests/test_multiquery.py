@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import LazyLSH, MultiQueryEngine
-from repro.errors import InvalidParameterError
+from repro.errors import DimensionalityMismatchError, InvalidParameterError
 
 P_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -70,6 +70,19 @@ class TestBatchedKnn:
     def test_empty_metrics_rejected(self, engine, small_split):
         with pytest.raises(InvalidParameterError):
             engine.knn(small_split.queries[0], 5, metrics=[])
+
+    @pytest.mark.parametrize("mode", ["flat", "scalar"])
+    def test_query_validated(self, engine, small_split, mode):
+        query = small_split.queries[0]
+        for bad in (
+            np.where(np.arange(query.size) == 3, np.nan, query),
+            np.where(np.arange(query.size) == 3, np.inf, query),
+            small_split.queries[:2],
+        ):
+            with pytest.raises(InvalidParameterError):
+                engine.knn(bad, 5, metrics=P_VALUES, engine=mode)
+        with pytest.raises(DimensionalityMismatchError):
+            engine.knn(query[:-1], 5, metrics=P_VALUES, engine=mode)
 
     def test_unsupported_metric_rejected_upfront(self, engine, small_split):
         from repro.errors import UnsupportedMetricError

@@ -9,6 +9,7 @@ aggregation.
 """
 
 import contextlib
+import functools
 import warnings
 
 import numpy as np
@@ -290,6 +291,160 @@ class TestDeprecatedPositionals:
             built_index.knn(query, 5, 0.8, "flat")
         with pytest.raises(TypeError, match="keyword-only"):
             knn_batch(built_index, small_split.queries, 5, 0.8, "flat")
+
+
+#: The five search entry points: how to reach each from the shared
+#: index, the knobs it takes as keywords, and the knobs its explicit form
+#: needs.  A knob an entry point does not take as a keyword can only
+#: reach it inside a SearchRequest.
+_ENTRY_POINTS = {
+    "LazyLSH.knn": (
+        lambda index, svc: index.knn,
+        {"p", "engine", "cap", "radius"},
+        {},
+    ),
+    "MultiQueryEngine.knn": (
+        lambda index, svc: MultiQueryEngine(index).knn,
+        {"metrics", "engine", "cap"},
+        {"metrics": (0.5, 1.0)},
+    ),
+    "knn_batch": (
+        lambda index, svc: functools.partial(knn_batch, index),
+        {"p", "metrics", "engine", "cap", "radius"},
+        {},
+    ),
+    "ShardedSearchService.search": (
+        lambda index, svc: svc.search,
+        {"p", "cap", "radius"},
+        {},
+    ),
+    "ShardedSearchService.search_batch": (
+        lambda index, svc: svc.search_batch,
+        {"p", "cap", "radius"},
+        {},
+    ),
+}
+
+#: Invalid knobs, each rejected the same way by every entry point.
+_BAD_KNOBS = {
+    "k=0": {"k": 0},
+    "cap<k": {"cap": 2.0},
+    "radius=0": {"radius": 0.0},
+    "radius<0": {"radius": -1.0},
+    "unknown engine": {"engine": "gpu"},
+    "empty metrics": {"metrics": ()},
+}
+
+
+@pytest.fixture(scope="module")
+def one_shard(built_index):
+    from repro.serve import ShardedSearchService
+
+    with ShardedSearchService(built_index, n_shards=1) as svc:
+        yield svc
+
+
+class TestEntryPointContract:
+    """All five entry points resolve their arguments one way."""
+
+    @pytest.fixture(params=sorted(_ENTRY_POINTS))
+    def entry(self, request, built_index, one_shard, small_split):
+        make, keywords, required = _ENTRY_POINTS[request.param]
+        query = small_split.queries[0]
+        if request.param.endswith(("search_batch", "knn_batch")):
+            query = small_split.queries[:2]
+
+        fn = make(built_index, one_shard)
+
+        def call(k=3, **knobs):
+            knobs = {**required, **knobs}
+            if set(knobs) <= keywords:
+                return fn(query, k, **knobs)
+            return fn(SearchRequest(query=query, k=k, **knobs))
+
+        call.fn = fn
+        call.query = query
+        call.required = required
+        return call
+
+    @pytest.mark.parametrize("case", sorted(_BAD_KNOBS))
+    def test_bad_knobs_raise_invalid_parameter(self, entry, case):
+        with pytest.raises(InvalidParameterError):
+            entry(**_BAD_KNOBS[case])
+
+    def test_missing_k_raises(self, entry):
+        with pytest.raises(InvalidParameterError, match="k is required"):
+            entry.fn(entry.query, **entry.required)
+
+    def test_request_plus_explicit_k_raises(self, entry):
+        request = SearchRequest(query=entry.query, k=3, **entry.required)
+        with pytest.raises(InvalidParameterError, match="not both"):
+            entry.fn(request, 3)
+
+    def test_request_plus_explicit_knob_raises(self, entry):
+        request = SearchRequest(query=entry.query, k=3, **entry.required)
+        with pytest.raises(InvalidParameterError, match="not both"):
+            entry.fn(request, cap=10.0)
+
+    def test_valid_call_answers(self, entry):
+        assert entry() is not None
+
+
+#: Each legacy form: its entry point, positional tail and keywords.
+_LEGACY_FORMS = {
+    "LazyLSH.knn positional p": ("LazyLSH.knn", (0.8,), {}),
+    "knn_batch positional p": ("knn_batch", (0.8,), {}),
+    "MultiQueryEngine.knn positional metrics": (
+        "MultiQueryEngine.knn", ((0.5, 1.0),), {},
+    ),
+    "MultiQueryEngine.knn p_values": (
+        "MultiQueryEngine.knn", (), {"p_values": (0.5, 1.0)},
+    ),
+}
+
+
+class TestLegacyFormContract:
+    @pytest.fixture(params=sorted(_LEGACY_FORMS))
+    def legacy_call(self, request, built_index, small_split):
+        name, tail, knobs = _LEGACY_FORMS[request.param]
+        fn = _ENTRY_POINTS[name][0](built_index, None)
+        query = small_split.queries[:2] if name == "knn_batch" else (
+            small_split.queries[0]
+        )
+        return lambda: fn(query, 5, *tail, **knobs)
+
+    def test_warning_points_at_the_caller(self, legacy_call, monkeypatch):
+        monkeypatch.delenv("REPRO_STRICT_API", raising=False)
+        with pytest.warns(DeprecationWarning) as record:
+            legacy_call()
+        assert [w.filename for w in record] == [__file__]
+
+    def test_strict_mode_raises(self, legacy_call, monkeypatch):
+        monkeypatch.setenv("REPRO_STRICT_API", "1")
+        with pytest.raises(InvalidParameterError, match="REPRO_STRICT_API"):
+            legacy_call()
+
+
+class TestMetricsArrays:
+    def test_numpy_metrics_accepted(self, built_index, small_split):
+        metrics = np.array([0.5, 1.0])
+        query = small_split.queries[0]
+        engine = MultiQueryEngine(built_index)
+        expected = engine.knn(query, 5, metrics=(0.5, 1.0))
+        multi = engine.knn(query, 5, metrics=metrics)
+        assert multi.metrics == expected.metrics
+        assert multi.io == expected.io
+        for p in expected.metrics:
+            np.testing.assert_array_equal(multi[p].ids, expected[p].ids)
+        batch = knn_batch(built_index, small_split.queries[:2], 5, metrics=metrics)
+        expected = knn_batch(
+            built_index, small_split.queries[:2], 5, metrics=(0.5, 1.0)
+        )
+        assert batch.io == expected.io
+        for got, want in zip(batch.results, expected.results):
+            assert got.metrics == want.metrics
+            for p in want.metrics:
+                np.testing.assert_array_equal(got[p].ids, want[p].ids)
 
 
 class TestResultProtocol:
