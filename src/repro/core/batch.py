@@ -29,12 +29,13 @@ gives every query a private pool.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro._typing import PointMatrix
 from repro.api import SearchRequest, aggregate_io, resolve_request
-from repro.core.lazylsh import LazyLSH, request_span
+from repro.core.lazylsh import LazyLSH, request_span, stamp_request
 from repro.core.multiquery import MultiQueryEngine, MultiQueryResult
 from repro.errors import InvalidParameterError
 from repro.storage.io_stats import IOStats
@@ -121,7 +122,9 @@ def knn_batch(
     ``telemetry`` (a :class:`repro.obs.Telemetry`) captures one
     :class:`~repro.obs.QueryTrace` per ``(query, metric)`` pair with
     ``query_id`` set to the query's row; ``None`` (the default) runs the
-    no-op fast path.
+    no-op fast path.  A request's ``request_id`` is stamped on every
+    contained result, and an overrun ``deadline_ms`` (advisory, timed
+    over the whole batch) flags each ``deadline_exceeded``.
     """
     request = resolve_request(
         "knn_batch", queries, k, args,
@@ -139,6 +142,7 @@ def knn_batch(
         raise InvalidParameterError(
             "the multi-query engine requires query-centric rehashing"
         )
+    start = time.perf_counter()
     with request_span(
         telemetry, request, "knn_batch", queries=int(queries.shape[0])
     ):
@@ -164,4 +168,8 @@ def knn_batch(
                 else MultiQueryResult.from_parts(row)
                 for row in rows
             ]
+    parts = results if request.metrics is None else [
+        part for row in results for part in row.results.values()
+    ]
+    stamp_request(parts, request, start, telemetry, "knn_batch")
     return BatchKnnResult(results=results, io=aggregate_io(results))

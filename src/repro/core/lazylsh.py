@@ -80,6 +80,36 @@ def request_span(telemetry, request: SearchRequest, name: str, **attrs):
     telemetry.finish_trace(ctx)
 
 
+def stamp_request(
+    results, request: SearchRequest, start: float, telemetry, where: str
+) -> None:
+    """Stamp one search call's results with its request id and deadline.
+
+    Every :class:`KnnResult` of the call carries the request's
+    ``request_id``.  When the request set ``deadline_ms`` and the call,
+    timed from ``start`` (``time.perf_counter()``), overran it, each
+    result is flagged ``deadline_exceeded`` and ``telemetry`` counts one
+    overrun for the call under ``where``.
+    """
+    if request.request_id is not None:
+        for result in results:
+            result.request_id = request.request_id
+    if request.deadline_ms is None:
+        return
+    elapsed = time.perf_counter() - start
+    if elapsed * 1000.0 <= request.deadline_ms:
+        return
+    for result in results:
+        result.deadline_exceeded = True
+    if telemetry is not None:
+        telemetry.note_deadline_overrun(
+            deadline_ms=request.deadline_ms,
+            elapsed_seconds=elapsed,
+            where=where,
+            request_id=request.request_id,
+        )
+
+
 def _lane_result(lane: Lane) -> "KnnResult":
     """Assemble a :class:`KnnResult` from a finished engine lane.
 
@@ -240,7 +270,12 @@ class LazyLSH:
         The single-index design makes this cheap: each point is hashed by
         the materialised bank and merged into every sorted inverted list.
         No per-metric work is needed — the new points are immediately
-        visible to queries under every supported ``lp``.
+        visible to queries under every supported ``lp``.  The merge
+        shifts the runs in place inside grow-only buffers
+        (:mod:`repro.storage.splice`), so an insert costs one memory pass
+        over the runs and no allocation the size of the index.  It must
+        not run concurrently with queries on the same index (the serving
+        layers serialise the two).
         """
         ids, _plan = self._apply_insert(points)
         return ids
@@ -623,8 +658,7 @@ class LazyLSH:
                 "metrics list"
             )
         query = self._check_query(request.query)
-        deadline_ms = request.deadline_ms
-        start = time.perf_counter() if deadline_ms is not None else 0.0
+        start = time.perf_counter()
         with request_span(telemetry, request, "lazylsh.knn") as ctx:
             if request.engine == "scalar":
                 result = self._knn_impl(query, request, telemetry=telemetry)
@@ -632,21 +666,9 @@ class LazyLSH:
                 result = self._knn_flat(
                     query[None, :], request, telemetry=telemetry
                 )[0][0]
-        if request.request_id is not None:
-            result.request_id = request.request_id
         if ctx is not None:
             result.trace_id = ctx.trace_id
-        if deadline_ms is not None:
-            elapsed = time.perf_counter() - start
-            if elapsed * 1000.0 > deadline_ms:
-                result.deadline_exceeded = True
-                if telemetry is not None:
-                    telemetry.note_deadline_overrun(
-                        deadline_ms=deadline_ms,
-                        elapsed_seconds=elapsed,
-                        where="lazylsh.knn",
-                        request_id=request.request_id,
-                    )
+        stamp_request([result], request, start, telemetry, "lazylsh.knn")
         return result
 
     def _plan(

@@ -25,6 +25,7 @@ paper reports (Figure 12):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -38,7 +39,7 @@ from repro.core.engine import (
     TERMINATION_CAP,
     TERMINATION_K_WITHIN,
 )
-from repro.core.lazylsh import KnnResult, LazyLSH, request_span
+from repro.core.lazylsh import KnnResult, LazyLSH, request_span, stamp_request
 from repro.core.params import MetricParams
 from repro.errors import InvalidParameterError
 from repro.metrics.lp import lp_distance
@@ -181,7 +182,10 @@ class MultiQueryEngine:
         name, is deprecated), ``engine`` (``"flat"`` or ``"scalar"``,
         bit-identical), ``cap`` (candidate-budget override, applied to
         every metric) and ``telemetry`` (one
-        :class:`~repro.obs.QueryTrace` per metric).
+        :class:`~repro.obs.QueryTrace` per metric).  A request's
+        ``request_id`` is stamped on every per-metric result, and an
+        overrun ``deadline_ms`` flags each ``deadline_exceeded`` (the
+        deadline is advisory: results are never cut short).
         """
         request = resolve_request(
             "MultiQueryEngine.knn", query, k, args, legacy_name="metrics",
@@ -197,6 +201,7 @@ class MultiQueryEngine:
                 raise InvalidParameterError("metrics must be non-empty")
             request = replace(request, metrics=(request.p,))
         query = self.index._check_query(request.query)
+        start = time.perf_counter()
         with request_span(
             telemetry, request, "multiquery.knn", metrics=len(request.metrics)
         ):
@@ -207,6 +212,10 @@ class MultiQueryEngine:
                     query[None, :], request, telemetry=telemetry
                 )
                 result = MultiQueryResult.from_parts(parts)
+        stamp_request(
+            result.results.values(), request, start, telemetry,
+            "multiquery.knn",
+        )
         return result
 
     def _knn_impl(

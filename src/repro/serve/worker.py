@@ -56,13 +56,18 @@ Live updates (DESIGN §11): an ``update`` payload carries one committed
 WAL record translated into shard terms — for an insert, the store's
 :class:`~repro.storage.inverted_index.InsertPlan` (full-run insertion
 and destination positions) plus the batch's points and owner
-assignment; for a remove, the tombstoned ids.  The worker applies it
-copy-on-write (the shared-memory arrays stay pristine for future
-respawns): old sub-run positions shift by the number of plan entries at
-or before them, owned new entries merge into the sub-runs at their
-plan-given positions, so the shard arrays stay exactly the restriction
-of the coordinator's full index and query waves remain bit-identical to
-single-process execution.  Updates are sequenced by LSN: a record at or
+assignment; for a remove, the tombstoned ids.  Old sub-run positions
+shift by the number of plan entries at or before them, and owned new
+entries merge into the sub-runs at their plan-given positions — one
+vectorised shift and one in-place splice per array
+(:mod:`repro.storage.splice`) — so the shard arrays stay exactly the
+restriction of the coordinator's full index and query waves remain
+bit-identical to single-process execution.  The first insert copies
+each array out of the read-only shared-memory segment (or mapped v3
+file) into a private grow-only buffer, one array at a time; later
+inserts shift inside those buffers.  The segment and the file are never
+written, so respawned workers attach to pristine copies and catch up by
+replay.  Updates are sequenced by LSN: a record at or
 below the shard's acked LSN is acknowledged but not re-applied, which
 makes coordinator replay after a repair idempotent.
 
@@ -107,6 +112,7 @@ from repro.serve.sharding import (
     attach_shard,
     open_mmap_shard,
 )
+from repro.storage.splice import reserve, splice
 
 logger = logging.getLogger("repro.serve.worker")
 
@@ -137,6 +143,46 @@ def _segment_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out = np.repeat(starts - offsets, lens)
     out += np.arange(out.shape[0], dtype=np.int64)
     return out
+
+
+def _row_searchsorted(rows: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Per-row ``searchsorted(rows[f], needles[f], side="left")``.
+
+    A vectorised binary search over every row at once: each halving
+    step is one gather of ``needles.size`` probes.
+    """
+    width = rows.shape[1]
+    flat = rows.reshape(-1)
+    base = np.arange(rows.shape[0], dtype=np.int64)[:, None] * width
+    lo = np.zeros(needles.shape, dtype=np.int64)
+    hi = np.full(needles.shape, width, dtype=np.int64)
+    if width == 0:
+        return lo
+    # Converged needles stay put: a probe at the answer compares >=
+    # the needle, and an answer of ``width`` probes the last entry,
+    # which sends ``lo`` back to ``width``.
+    for _ in range(width.bit_length() + 1):
+        mid = np.minimum((lo + hi) >> 1, width - 1)
+        go_right = flat[base + mid] < needles
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(go_right, hi, mid)
+    return lo
+
+
+def _step_shift(before: np.ndarray, width: int) -> np.ndarray:
+    """Flat per-entry shifts of packed ``(F, width)`` runs.
+
+    Entry ``i`` of run ``f`` gets the number of ``before[f]`` bounds at
+    or below ``i`` (``before`` rows ascend), as the narrowest integer
+    type that holds them.
+    """
+    num_funcs, m = before.shape
+    edges = np.empty((num_funcs, m + 2), dtype=np.int64)
+    edges[:, 0] = 0
+    edges[:, 1:-1] = before
+    edges[:, -1] = width
+    steps = np.arange(m + 1, dtype=np.min_scalar_type(m))
+    return np.repeat(np.tile(steps, num_funcs), np.diff(edges, axis=1).ravel())
 
 
 class ShardSearcher:
@@ -186,6 +232,10 @@ class ShardSearcher:
         self._gid_of: np.ndarray | None = None
         self._lookup: np.ndarray | None = None
         self._owns_alive = False
+        # Grow-only buffers behind values/ids/positions once an insert
+        # has spliced them (see repro.storage.splice); until then the
+        # runs are the attached, read-only views.
+        self._buffers: dict[str, np.ndarray] = {}
 
     # -- protocol ops ---------------------------------------------------
 
@@ -240,10 +290,11 @@ class ShardSearcher:
         """Merge an insert batch's plan into the shard's sub-runs.
 
         Every worker receives the *full* batch plan plus the owner
-        assignment; it extends its data rows with the points it owns and
-        splices its share of each run in at the plan's positions, while
-        shifting every pre-existing entry's full-run position by the
-        number of plan entries inserted at or before it.
+        assignment; it extends its data rows with the points it owns,
+        shifts every pre-existing entry's full-run position by the
+        number of plan entries inserted at or before it, and splices its
+        share of each run in at the plan's positions — all runs at once,
+        in place (:func:`~repro.storage.splice.splice`).
         """
         rel = np.asarray(delta["rel"], dtype=np.int64)
         plan_values = np.asarray(delta["values"], dtype=np.int64)
@@ -257,53 +308,49 @@ class ShardSearcher:
             self._gid_of = np.arange(self.lo, self.hi, dtype=np.int64)
         # Points this shard now owns (ascending gid order).
         sel = np.flatnonzero(owners == self.shard_id)
-        new_gids = start + sel
         m_own = int(sel.size)
         self.data = np.vstack([self.data, points[sel]])
         self.alive = np.concatenate(
             [self.alive, np.ones(m_own, dtype=bool)]
         )
         self._owns_alive = True
-        self._gid_of = np.concatenate([self._gid_of, new_gids])
+        self._gid_of = np.concatenate([self._gid_of, start + sel])
         m_old = int(self.values.shape[1])
-        m_new = m_old + m_own
-        new_values = np.empty((num_funcs, m_new), dtype=np.int64)
-        new_ids = np.empty((num_funcs, m_new), dtype=np.int64)
-        new_positions = np.empty((num_funcs, m_new), dtype=np.int64)
+        # before[f, r]: sub-run f's entries whose full-run position lies
+        # before plan entry r's insertion point.  Every plan entry at or
+        # before an old entry shifts it right by one (ties resolve after
+        # equal-valued old entries, so "<=" is exact).
+        before = _row_searchsorted(self.positions, rel)
+        shift = _step_shift(before, m_old)
+        buf = reserve(
+            self._buffers.get("positions"), self.positions, num_funcs * m_own
+        )
+        buf[: num_funcs * m_old] += shift
+        self._buffers["positions"] = buf
+        self.positions = buf[: num_funcs * m_old].reshape(num_funcs, m_old)
         if m_own:
-            own_mask = (owners[plan_ids - start] == self.shard_id)
-            vals_own = plan_values[own_mask].reshape(num_funcs, m_own)
-            gids_own = plan_ids[own_mask].reshape(num_funcs, m_own)
-            dest_own = plan_dest[own_mask].reshape(num_funcs, m_own)
-        for f in range(num_funcs):
-            old_v = self.values[f]
-            # Old entries shift right by the number of batch entries whose
-            # old-run insertion position is <= theirs (ties resolve after
-            # equal-valued old entries, so "<=" is exact).
-            shifted = self.positions[f] + np.searchsorted(
-                rel[f], self.positions[f], side="right"
-            )
-            if m_own:
-                loc = np.searchsorted(
-                    old_v, vals_own[f], side="right"
-                ) + np.arange(m_own, dtype=np.int64)
-                taken = np.zeros(m_new, dtype=bool)
-                taken[loc] = True
-                new_values[f, loc] = vals_own[f]
-                new_values[f, ~taken] = old_v
-                new_ids[f, loc] = gids_own[f]
-                new_ids[f, ~taken] = self.ids[f]
-                new_positions[f, loc] = dest_own[f]
-                new_positions[f, ~taken] = shifted
-            else:
-                new_values[f] = old_v
-                new_ids[f] = self.ids[f]
-                new_positions[f] = shifted
-        self.values = new_values
-        self.ids = new_ids
-        self.positions = new_positions
-        self.m = m_new
-        self._marks = np.zeros(m_new, dtype=bool)
+            own = (owners[plan_ids - start] == self.shard_id).ravel()
+            # An owned entry lands just before the old entry at ``before``:
+            # flat side="right" positions in the packed (F, m_old) sub-runs.
+            flat_pos = (
+                before + np.arange(num_funcs, dtype=np.int64)[:, None] * m_old
+            ).ravel()[own]
+            shape = (num_funcs, m_old + m_own)
+            for name, entries in (
+                ("values", plan_values),
+                ("ids", plan_ids),
+                ("positions", plan_dest),
+            ):
+                buf = splice(
+                    self._buffers.get(name),
+                    getattr(self, name),
+                    flat_pos,
+                    entries.ravel()[own],
+                )
+                self._buffers[name] = buf
+                setattr(self, name, buf[: shape[0] * shape[1]].reshape(shape))
+        self.m = m_old + m_own
+        self._marks = np.zeros(self.m, dtype=bool)
         # Global id -> local row map over the grown index.
         lookup = np.full(start + m_batch, -1, dtype=np.int64)
         lookup[self._gid_of] = np.arange(self.m, dtype=np.int64)
@@ -436,7 +483,8 @@ class MmapShardSearcher(ShardSearcher):
     Live updates mutate shard-private arrays, so the first ``update`` op
     makes ``worker_main`` swap this searcher for a materialised
     :class:`ShardSearcher` via :meth:`materialize`; the memmap pages are
-    dropped and the classic copy-on-write delta path takes over.
+    dropped, the file is never written, and the classic in-place delta
+    path takes over.
     """
 
     def __init__(
@@ -466,17 +514,22 @@ class MmapShardSearcher(ShardSearcher):
         the same arrays a shm pack would have shipped — the update path
         stays bit-identical across attach modes.
         """
-        n = self.num_rows
-        mask = (self.ids >= self.lo) & (self.ids < self.hi)
-        flat = np.flatnonzero(mask.ravel())
         shape = (self.values.shape[0], self.m)
+        flat = np.flatnonzero(
+            ((self.ids >= self.lo) & (self.ids < self.hi)).ravel()
+        )
+        values = self.values.ravel()[flat].reshape(shape)
+        ids = self.ids.ravel()[flat].reshape(shape)
+        # The flat indices become the full-run positions in place, so the
+        # extraction holds at most one index-sized array beyond its output.
+        positions = np.remainder(flat, self.num_rows, out=flat).reshape(shape)
         searcher = ShardSearcher(
             self.shard_id,
             self.lo,
             self.hi,
-            np.ascontiguousarray(self.values.ravel()[flat].reshape(shape)),
-            np.ascontiguousarray(self.ids.ravel()[flat].reshape(shape)),
-            np.ascontiguousarray((flat % n).reshape(shape)),
+            values,
+            ids,
+            positions,
             np.array(self.data),
             self.alive,
         )

@@ -10,6 +10,8 @@ counts as one *random* I/O.  This package reproduces exactly that model:
   records on 4 KB pages,
 * :mod:`repro.storage.inverted_index` — the per-hash-function sorted
   ``(hash value, id)`` runs that back virtual/query-centric rehashing,
+* :mod:`repro.storage.splice` — the in-place insert kernel that merges
+  a batch into packed sorted runs held in grow-only buffers,
 * :mod:`repro.storage.backend` — the eager (in-RAM) and mmap
   (page-cache-backed) array sources the store can run over.
 """

@@ -1,8 +1,10 @@
 """Storage backends for :class:`~repro.storage.inverted_index.InvertedListStore`.
 
 The store's execution engine only ever *reads* its arrays (sorted runs,
-int32 shadows, coarse search keys); mutation allocates fresh arrays.  That
-makes the array source pluggable: an :class:`EagerBackend` owns plain
+int32 shadows, coarse search keys), and an insert never writes to a
+backend's arrays: it splices into private buffers, copying each array
+out of the backend the first time.  That makes the array source
+pluggable: an :class:`EagerBackend` owns plain
 in-RAM ``ndarray`` objects (the classic path), while an
 :class:`MmapBackend` holds read-only ``np.memmap`` views into the
 page-aligned sections of a format-v3 index file

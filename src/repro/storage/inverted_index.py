@@ -21,6 +21,17 @@ calls over one flat key array (:meth:`batch_entry_positions`,
 :meth:`read_windows`).  Sequential I/O for a batch is charged by interval
 arithmetic (:class:`~repro.storage.pages.PageTracker`) rather than a
 per-page Python loop.
+
+Inserts are merged in place.  Every run array — ``values``, ``ids`` and
+the search state's int32 ``rel32`` and id shadow — is the used prefix
+of a grow-only buffer, and :meth:`InvertedListStore.insert` splices a
+batch into all runs with one back-to-front shift per array
+(:mod:`repro.storage.splice`); the search keys are extended from the
+batch alone unless the batch widens the value range below ``vmin``.  A
+store opened over a memory-mapped file copies each array into a private
+buffer on its first insert and never writes to the mapping.  Because
+inserts move entries under any view of a buffer, no read hands one out:
+every id array a read returns is a copy.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from repro.errors import InvalidParameterError
 from repro.storage.backend import StorageBackend
 from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout, PageTracker
+from repro.storage.splice import splice
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,10 @@ class InvertedListStore:
         self._values = np.ascontiguousarray(
             np.take_along_axis(hash_values.astype(np.int64), order, axis=1)
         )
+        # Grow-only buffers behind the run arrays, by attribute name;
+        # filled by the first insert (see repro.storage.splice).
+        self._buffers: dict[str, np.ndarray] = {}
+        self._ids32_flat: np.ndarray | None = None
         self._rebuild_search_keys()
         self._backend: StorageBackend | None = None
         self._iota_cache: np.ndarray | None = None
@@ -143,8 +159,10 @@ class InvertedListStore:
         store._num_points = int(num_points)
         store._values = backend.values
         store._ids = backend.ids
+        store._buffers = {}
         state = backend.search_state
         if state is None or backend.rel32 is None:  # pragma: no cover
+            store._ids32_flat = None
             store._rebuild_search_keys()
         else:
             store._keys = None
@@ -208,8 +226,8 @@ class InvertedListStore:
     # ------------------------------------------------------------------
 
     def _rebuild_search_keys(self) -> None:
-        """(Re)build the composite flat search keys after any mutation."""
-        self._ids32_flat: np.ndarray | None = None
+        """(Re)build the composite flat search keys from the whole runs."""
+        self._buffers.pop("_rel32", None)
         self._rel32: np.ndarray | None = None
         self._row_top: np.ndarray | None = None
         self._top_per_row = 0
@@ -593,7 +611,8 @@ class InvertedListStore:
             self.observer.on_window_read(int(stop - start))
         if stop > start:
             self._charge_pages(func, start, stop, stats, seen_pages)
-        return self._ids[func, start:stop]
+        # A copy: an insert shifts the run under any view of it.
+        return self._ids[func, start:stop].copy()
 
     def read_ring(
         self,
@@ -672,12 +691,12 @@ class InvertedListStore:
     def insert(self, hash_values: np.ndarray, ids: np.ndarray) -> "InsertPlan":
         """Insert new points into every function's sorted run.
 
-        One allocation pass: the destination slot of every old and new
-        entry is computed up front (a batched ``searchsorted`` for the
-        insertion positions plus a boolean scatter mask), then values and
-        ids are placed into freshly allocated ``(functions, points + m)``
-        matrices — instead of reallocating every run twice via per-function
-        ``np.insert`` calls.
+        One batched ``searchsorted`` finds every new entry's insertion
+        position; :func:`~repro.storage.splice.splice` then merges the
+        batch into the ``values``, ``ids``, ``rel32`` and int32 id runs in
+        place, and the search keys are extended from the batch alone
+        (:meth:`_extend_search_keys`).  The cost is one memory pass per
+        run array, with no allocation the size of the index.
 
         Returns an :class:`InsertPlan` recording exactly where every new
         entry landed, so a replica holding a sub-run of each list (a shard
@@ -727,29 +746,23 @@ class InvertedListStore:
             funcs_rep, values.ravel(), side="right"
         )
         rel_positions = (positions - funcs_rep * n).reshape(num_funcs, m)
-        new_n = n + m
-        # Destination of new entry r of function f: its insertion position
-        # shifted by the r new entries placed before it and the function's
-        # new row offset.
-        dest = (
-            np.arange(num_funcs, dtype=np.int64)[:, None] * new_n
-            + rel_positions
-            + np.arange(m, dtype=np.int64)[None, :]
-        ).ravel()
-        taken = np.zeros(num_funcs * new_n, dtype=bool)
-        taken[dest] = True
-        new_values = np.empty(num_funcs * new_n, dtype=np.int64)
-        new_ids = np.empty(num_funcs * new_n, dtype=np.int64)
-        new_values[dest] = values.ravel()
-        new_ids[dest] = batch_ids.ravel()
-        new_values[~taken] = self._values.ravel()
-        new_ids[~taken] = self._ids.ravel()
-        self._values = new_values.reshape(num_funcs, new_n)
-        self._ids = new_ids.reshape(num_funcs, new_n)
-        self._num_points = new_n
-        self._rebuild_search_keys()
-        # The fresh runs live in RAM regardless of how the old ones were
-        # held: a previously mmap-backed store materialises on mutation.
+        # Every run grows by m, so the flat splice also moves each run
+        # to its new row offset f * (n + m).
+        shape = (num_funcs, n + m)
+        self._values = self._splice(
+            "_values", positions, values.ravel()
+        ).reshape(shape)
+        self._ids = self._splice("_ids", positions, batch_ids.ravel()).reshape(
+            shape
+        )
+        if self._ids32_flat is not None:
+            self._ids32_flat = self._splice(
+                "_ids32_flat", positions, batch_ids.ravel()
+            )
+        self._num_points = n + m
+        self._extend_search_keys(positions, values)
+        # Every run array now lives in RAM: a previously mmap-backed store
+        # materialised each one on this first insert.
         self._backend = None
         self._id_order = None
         self._ids_by_id = None
@@ -760,6 +773,48 @@ class InvertedListStore:
             dest_positions=rel_positions + np.arange(m, dtype=np.int64)[None, :],
             old_rows=n,
         )
+
+    def _splice(
+        self, name: str, positions: np.ndarray, entries: np.ndarray
+    ) -> np.ndarray:
+        """Splice ``entries`` into the flat run attribute ``name``.
+
+        Returns the spliced run as a flat prefix view of its buffer.
+        """
+        run = getattr(self, name)
+        buf = splice(self._buffers.get(name), run, positions, entries)
+        self._buffers[name] = buf
+        return buf[: run.size + entries.size]
+
+    def _extend_search_keys(
+        self, positions: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Bring the search keys up to date after splicing in ``values``.
+
+        ``vmin`` only moves when the batch reaches below it, and ``stride``
+        follows the batch maximum, so unless the batch widens the range
+        downwards (or out of int32) the old ``rel32`` entries stay valid:
+        the batch's own entries are spliced in at ``positions`` and the
+        small row-aligned top sample is re-read.  Anything else rebuilds
+        the keys from the whole runs, exactly as a fresh store would.
+        """
+        if self._rel32 is not None and int(values.min()) >= self._vmin:
+            stride = max(self._stride, int(values.max()) - self._vmin + 2)
+            if stride <= 2**31 - 2:
+                self._stride = stride
+                self._rel32 = self._splice(
+                    "_rel32",
+                    positions,
+                    (values.ravel() - self._vmin).astype(np.int32),
+                )
+                self._top_per_row = -(-self._num_points // _TOP_STRIDE)
+                funcs = np.arange(self._num_functions, dtype=np.int64)[:, None]
+                self._row_top = (
+                    (self._values[:, ::_TOP_STRIDE] - self._vmin)
+                    + funcs * stride
+                ).ravel()
+                return
+        self._rebuild_search_keys()
 
     # ------------------------------------------------------------------
     # Diagnostics

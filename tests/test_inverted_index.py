@@ -254,3 +254,41 @@ class TestLargeStore:
                     ).tolist()
                 )
                 assert got == want
+
+
+class TestInsertInPlace:
+    """Inserts shift the runs in place: nothing handed out may alias them."""
+
+    @staticmethod
+    def _grow(store, rng, steps=6, m=3):
+        for _ in range(steps):
+            n = store.num_points
+            store.insert(rng.integers(0, 10, (2, m)), np.arange(n, n + m))
+
+    def test_read_results_survive_inserts(self, tiny_store, rng):
+        self._grow(tiny_store, rng, steps=1)  # runs now live in a buffer
+        window = tiny_store.read_window(0, 1, 7)
+        ring = tiny_store.read_ring(1, 0, 4, 2, 2)
+        ids, _bounds = tiny_store.read_windows(
+            np.array([0, 1]), np.array([1, 0]), np.array([7, 4])
+        )
+        held = [a.copy() for a in (window, ring, ids)]
+        self._grow(tiny_store, rng)
+        for got, want in zip((window, ring, ids), held):
+            np.testing.assert_array_equal(got, want)
+
+    def test_resident_bytes_count_used_entries(self, tiny_store, rng):
+        tiny_store.gather_segments32(np.zeros(1, dtype=np.int64),
+                                     np.ones(1, dtype=np.int64))
+        self._grow(tiny_store, rng)
+        n = tiny_store.num_points
+        used = [
+            tiny_store._values, tiny_store._ids, tiny_store._ids32_flat,
+            tiny_store._rel32, tiny_store._row_top,
+        ]
+        assert tiny_store._values.shape == (2, n)
+        assert tiny_store._ids32_flat.shape == tiny_store._rel32.shape == (2 * n,)
+        assert tiny_store._buffers["_values"].size > 2 * n  # headroom
+        info = tiny_store.storage_info()
+        assert info["resident_bytes"] == sum(a.nbytes for a in used)
+        assert info["mapped_bytes"] == 0

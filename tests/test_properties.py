@@ -2,10 +2,13 @@
 
 These cover the mathematical backbone the paper's guarantees stand on:
 norm identities, the Eq. 11 bounds, Lemma 2/3 scale invariance, window
-arithmetic, page accounting and the Algorithm-4 crossing kernel.
+arithmetic, page accounting, the Algorithm-4 crossing kernel and the
+in-place insert splice of the inverted lists.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,11 @@ from repro.core.hashing import original_window, query_centric_window
 from repro.eval.ratio import overall_ratio
 from repro.metrics.collision import collision_probability
 from repro.metrics.lp import l1_bounds, lp_distance, lp_norm, norm_equivalence_bounds
+from repro.storage.backend import MmapBackend, SearchState
+from repro.storage.inverted_index import InvertedListStore
+from repro.storage.io_stats import IOStats
 from repro.storage.pages import PageLayout
+from repro.storage.splice import reserve, splice
 
 # Strategies ---------------------------------------------------------------
 
@@ -238,6 +245,226 @@ class TestCrossingKernel:
         else:
             assert add is None
         assert not scratch.any()
+
+
+# Insert splice ---------------------------------------------------------------
+
+
+@st.composite
+def splice_cases(draw):
+    """A flat run, a buffer state around it, and entries to insert."""
+    used = draw(st.integers(0, 30))
+    run = np.array(draw(st.lists(st.integers(-50, 50), min_size=used,
+                                 max_size=used)), dtype=np.int64)
+    k = draw(st.integers(0, 12))
+    positions = np.sort(np.array(
+        draw(st.lists(st.integers(0, used), min_size=k, max_size=k)),
+        dtype=np.int64,
+    ))
+    entries = np.arange(1000, 1000 + k, dtype=np.int64)
+    room = draw(st.sampled_from(["none", "short", "ample"]))
+    return run, positions, entries, room
+
+
+class TestSpliceKernel:
+    @given(splice_cases())
+    @settings(max_examples=200)
+    def test_matches_np_insert(self, case):
+        run, positions, entries, room = case
+        want = np.insert(run, positions, entries)
+        source = run.copy()
+        source.flags.writeable = False
+        buf = None
+        if room != "none":
+            extra = entries.size if room == "ample" else max(entries.size - 1, 0)
+            buf = np.full(run.size + extra, -7, dtype=np.int64)
+            buf[: run.size] = run
+            source = buf[: run.size]
+        out = splice(buf, source, positions, entries)
+        np.testing.assert_array_equal(out[: want.size], want)
+        if buf is not None and out is not buf:
+            # Regrowth copies out of the old buffer without writing to it.
+            np.testing.assert_array_equal(buf[: run.size], run)
+        if room == "ample":
+            assert out is buf
+        if room == "none":
+            assert out.size > want.size  # geometric headroom
+
+    def test_reserve_copies_only_foreign_or_full_runs(self):
+        run = np.arange(6, dtype=np.int64)
+        run.flags.writeable = False
+        buf = reserve(None, run, 4)
+        assert buf.flags.writeable and buf.size >= 10
+        np.testing.assert_array_equal(buf[:6], run)
+        assert reserve(buf, buf[:6], 4) is buf
+        grown = reserve(buf, buf[:6], buf.size)
+        assert grown is not buf
+        np.testing.assert_array_equal(grown[:6], run)
+
+
+def _expected_plan(old_values, batch, ids):
+    """InsertPlan fields by the per-function definition."""
+    order = np.argsort(batch, axis=1, kind="stable")
+    values = np.take_along_axis(batch, order, axis=1)
+    rel = np.stack([
+        np.searchsorted(old_values[f], values[f], side="right")
+        for f in range(batch.shape[0])
+    ])
+    dest = rel + np.arange(batch.shape[1])[None, :]
+    return values, ids[order], rel, dest
+
+
+def _mmap_store(hash_values, home: Path) -> InvertedListStore:
+    """A store over read-only memory maps of a fresh store's arrays."""
+    fresh = InvertedListStore(hash_values)
+    arrays = {
+        "values": fresh._values,
+        "ids": fresh._ids,
+        "ids32": fresh._ids.ravel().astype(np.int32),
+        "rel32": fresh._rel32,
+        "row_top": fresh._row_top,
+    }
+    maps = {}
+    for name, arr in arrays.items():
+        np.save(home / f"{name}.npy", arr)
+        maps[name] = np.load(home / f"{name}.npy", mmap_mode="r")
+    backend = MmapBackend(
+        search_state=SearchState(
+            vmin=fresh._vmin, stride=fresh._stride,
+            top_per_row=fresh._top_per_row,
+        ),
+        source_path=home,
+        **maps,
+    )
+    store = InvertedListStore.from_backend(backend)
+    assert store.backend_kind == "mmap"
+    return store
+
+
+def _assert_store_equals_fresh(store, hash_values):
+    fresh = InvertedListStore(hash_values)
+    np.testing.assert_array_equal(store._values, fresh._values)
+    np.testing.assert_array_equal(store._ids, fresh._ids)
+    assert store._values.shape == fresh._values.shape
+    assert (store._vmin, store._stride) == (fresh._vmin, fresh._stride)
+    assert store._top_per_row == fresh._top_per_row
+    np.testing.assert_array_equal(store._rel32, fresh._rel32)
+    np.testing.assert_array_equal(store._row_top, fresh._row_top)
+    np.testing.assert_array_equal(
+        store._ids32_flat, fresh._ids.ravel().astype(np.int32)
+    )
+    # Every window over and around the value range reads identically.
+    num_funcs = hash_values.shape[0]
+    lo_v, hi_v = int(hash_values.min()), int(hash_values.max())
+    funcs, los, his = [], [], []
+    for f in range(num_funcs):
+        for lo in range(lo_v - 1, hi_v + 2, 3):
+            funcs.append(f)
+            los.append(lo)
+            his.append(lo + 2)
+    got_io, want_io = IOStats(), IOStats()
+    got = store.read_windows(np.array(funcs), np.array(los), np.array(his),
+                             stats=got_io)
+    want = fresh.read_windows(np.array(funcs), np.array(los), np.array(his),
+                              stats=want_io)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got_io == want_io
+
+
+@st.composite
+def insert_sequences(draw):
+    """A small store and a sequence of insert batches.
+
+    Initial values lie in [0, 12]; batch values in [-3, 16], so batches
+    tie with existing values, reach below ``vmin`` (the full-rebuild
+    path) and above ``vmax``.
+    """
+    num_funcs = draw(st.integers(1, 4))
+    n0 = draw(st.integers(1, 16))
+    initial = np.array(
+        draw(st.lists(st.integers(0, 12), min_size=num_funcs * n0,
+                      max_size=num_funcs * n0)),
+        dtype=np.int64,
+    ).reshape(num_funcs, n0)
+    batches = []
+    for m in draw(st.lists(st.integers(1, 6), min_size=1, max_size=8)):
+        batches.append(np.array(
+            draw(st.lists(st.integers(-3, 16), min_size=num_funcs * m,
+                          max_size=num_funcs * m)),
+            dtype=np.int64,
+        ).reshape(num_funcs, m))
+    backend = draw(st.sampled_from(["eager", "mmap"]))
+    return initial, batches, backend
+
+
+def _run_inserts(initial, batches, backend):
+    with tempfile.TemporaryDirectory() as tmp:
+        if backend == "mmap":
+            store = _mmap_store(initial, Path(tmp))
+            pristine = {
+                p.name: p.read_bytes() for p in Path(tmp).glob("*.npy")
+            }
+        else:
+            store = InvertedListStore(initial)
+            # Materialise the int32 id shadow so inserts must keep it.
+            store.gather_segments32(np.zeros(1, dtype=np.int64),
+                                    np.ones(1, dtype=np.int64))
+        hash_values = initial
+        for batch in batches:
+            n = hash_values.shape[1]
+            ids = np.arange(n, n + batch.shape[1], dtype=np.int64)
+            old_values = store._values.copy()
+            plan = store.insert(batch, ids)
+            values, plan_ids, rel, dest = _expected_plan(old_values, batch, ids)
+            np.testing.assert_array_equal(plan.values, values)
+            np.testing.assert_array_equal(plan.ids, plan_ids)
+            np.testing.assert_array_equal(plan.rel_positions, rel)
+            np.testing.assert_array_equal(plan.dest_positions, dest)
+            assert plan.old_rows == n
+            hash_values = np.concatenate([hash_values, batch], axis=1)
+            _assert_store_equals_fresh(store, hash_values)
+        if backend == "mmap":
+            for p in Path(tmp).glob("*.npy"):
+                assert p.read_bytes() == pristine[p.name]
+        return store
+
+
+class TestStoreInsertProperties:
+    @given(insert_sequences())
+    @settings(max_examples=120, deadline=None)
+    def test_insert_sequence_equals_fresh_build(self, case):
+        _run_inserts(*case)
+
+    @pytest.mark.parametrize("backend", ["eager", "mmap"])
+    def test_named_cases(self, backend):
+        base = np.array([[2, 5, 5, 9], [0, 3, 3, 12]], dtype=np.int64)
+        batches = [
+            np.array([[5], [3]]),  # one point, tying existing values
+            np.array([[20, 5], [30, 0]]),  # above vmax, and ties
+            np.array([[-4, 7], [1, -9]]),  # below vmin: full rebuild
+            np.array([[9, 9, 9], [12, 12, -9]]),
+        ]
+        store = _run_inserts(base, batches, backend)
+        assert store.backend_kind == "eager"
+
+    def test_inserts_shift_in_place_until_capacity_runs_out(self):
+        rng = np.random.default_rng(3)
+        hash_values = rng.integers(0, 40, (3, 30))
+        store = InvertedListStore(hash_values)
+        store.gather_segments32(np.zeros(1, dtype=np.int64),
+                                np.ones(1, dtype=np.int64))
+        buffers = []
+        for step in range(12):
+            batch = rng.integers(0, 40, (3, 4))
+            n = hash_values.shape[1]
+            store.insert(batch, np.arange(n, n + 4))
+            hash_values = np.concatenate([hash_values, batch], axis=1)
+            buffers.append(store._buffers["_values"])
+            _assert_store_equals_fresh(store, hash_values)
+        reused = sum(a is b for a, b in zip(buffers, buffers[1:]))
+        regrown = len(buffers) - 1 - reused
+        assert reused >= 5 and regrown >= 1
 
 
 class TestPageProperties:

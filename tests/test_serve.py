@@ -82,6 +82,114 @@ class TestShardView:
             )
 
 
+def _owner_restriction(store, owned):
+    """Sub-runs of ``store`` holding the ids in ``owned``, plus positions."""
+    mask = np.isin(store._ids, np.fromiter(owned, dtype=np.int64))
+    shape = (store.num_functions, -1)
+    positions = np.nonzero(mask)[1].reshape(shape)
+    return store._values[mask].reshape(shape), store._ids[mask].reshape(shape), positions
+
+
+class TestWorkerUpdateDeltas:
+    """Shard workers splice WAL deltas in place, never into their sources."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deltas_keep_shards_the_owner_restriction(
+        self, built_index, tmp_path, seed
+    ):
+        import gc
+
+        from repro.serve.sharding import (
+            MmapShardSpec,
+            attach_shard,
+            open_mmap_shard,
+            pack_shard,
+        )
+        from repro.serve.worker import MmapShardSearcher, ShardSearcher
+
+        rng = np.random.default_rng(seed)
+        path = save_index(built_index, tmp_path / "index.npz", format_version=3)
+        file_bytes = path.read_bytes()
+        index = load_index(path)
+        ranges = plan_shards(index.num_rows, 2)
+        segments, attached, searchers = [], [], []
+        for sid, (lo, hi) in enumerate(ranges):
+            spec, shm = pack_shard(
+                sid, lo, hi, index.store, index.data, index._alive
+            )
+            segments.append(shm)
+            arrays, handle = attach_shard(spec)
+            attached.append(handle)
+            searchers.append(ShardSearcher(
+                sid, lo, hi, arrays["values"], arrays["ids"],
+                arrays["positions"], arrays["data"], arrays["alive"],
+            ))
+            del arrays
+        mapped = open_mmap_shard(MmapShardSpec(1, *ranges[1], str(path)))
+        searchers.append(MmapShardSearcher(
+            1, *ranges[1], mapped["values"], mapped["ids"],
+            mapped["data"], mapped["alive"],
+        ))
+        del mapped
+        segment_bytes = [bytes(shm.buf) for shm in segments]
+        owned = [set(range(lo, hi)) for lo, hi in ranges]
+        try:
+            for lsn in range(1, 11):
+                if lsn % 4 == 0:
+                    gids = rng.choice(
+                        np.flatnonzero(index._alive), size=3, replace=False
+                    )
+                    index.remove(gids)
+                    delta = {"op": "remove", "lsn": lsn, "epoch": lsn,
+                             "gids": gids}
+                else:
+                    m = int(rng.integers(1, 7))
+                    rows = rng.integers(0, index.num_rows, m)
+                    points = index.data[rows] + rng.normal(
+                        0.0, 1.0, (m, index.data.shape[1])
+                    )
+                    start = index.num_rows
+                    _ids, plan = index._apply_insert(points)
+                    owners = rng.integers(0, 2, m)
+                    for j, sid in enumerate(owners):
+                        owned[sid].add(start + j)
+                    delta = {
+                        "op": "insert", "lsn": lsn, "epoch": lsn,
+                        "rel": plan.rel_positions, "values": plan.values,
+                        "ids": plan.ids, "dest": plan.dest_positions,
+                        "points": points, "batch_start": start,
+                        "owners": owners,
+                    }
+                for j, searcher in enumerate(searchers):
+                    if isinstance(searcher, MmapShardSearcher):
+                        searcher = searchers[j] = searcher.materialize()
+                    assert searcher.apply_update(delta)["applied"]
+                    want = _owner_restriction(index.store, owned[searcher.shard_id])
+                    np.testing.assert_array_equal(searcher.values, want[0])
+                    np.testing.assert_array_equal(searcher.ids, want[1])
+                    np.testing.assert_array_equal(searcher.positions, want[2])
+                    gids = searcher._gid_of
+                    if gids is None:
+                        gids = np.arange(searcher.lo, searcher.hi)
+                    np.testing.assert_array_equal(
+                        searcher.alive, index._alive[gids]
+                    )
+                    np.testing.assert_array_equal(
+                        searcher.data, index.data[gids]
+                    )
+            # Respawned workers re-attach these and catch up by replay.
+            assert [bytes(shm.buf) for shm in segments] == segment_bytes
+            assert path.read_bytes() == file_bytes
+        finally:
+            searchers.clear()
+            gc.collect()
+            for handle in attached:
+                handle.close()
+            for shm in segments:
+                shm.close()
+                shm.unlink()
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("p", [0.5, 0.8, 1.0])
     def test_matches_flat_engine(self, built_index, small_split, service, p):

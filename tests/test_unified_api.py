@@ -221,6 +221,92 @@ class TestRequestDispatch:
         assert keyword.io == request.io
 
 
+def _multiquery(index, request, telemetry):
+    result = MultiQueryEngine(index).knn(request, telemetry=telemetry)
+    return list(result.results.values())
+
+
+def _batch(index, request, telemetry):
+    return knn_batch(index, request, telemetry=telemetry).results
+
+
+def _batch_multi(index, request, telemetry):
+    rows = knn_batch(index, request, telemetry=telemetry).results
+    return [part for row in rows for part in row.results.values()]
+
+
+_STAMPED_HOSTS = {
+    "multiquery.knn": (_multiquery, False, {"metrics": (0.5, 1.0)}),
+    "knn_batch": (_batch, True, {"p": 0.8}),
+    "knn_batch/metrics": (_batch_multi, True, {"metrics": (0.5, 1.0)}),
+}
+
+
+class TestRequestStamping:
+    """Every host honours a request's ``request_id`` and ``deadline_ms``."""
+
+    @staticmethod
+    def _request(small_split, batch, knobs, **fields):
+        query = small_split.queries[:2] if batch else small_split.queries[0]
+        return SearchRequest(query=query, k=5, **fields, **knobs)
+
+    @pytest.mark.parametrize("host", sorted(_STAMPED_HOSTS))
+    @pytest.mark.parametrize("engine", ["flat", "scalar"])
+    def test_overrun_flags_every_part_and_counts_once(
+        self, built_index, small_split, host, engine
+    ):
+        from repro.obs import Telemetry
+
+        call, batch, knobs = _STAMPED_HOSTS[host]
+        telemetry = Telemetry()
+        request = self._request(
+            small_split, batch, knobs,
+            engine=engine, request_id="00ab", deadline_ms=1e-9,
+        )
+        parts = call(built_index, request, telemetry)
+        assert len(parts) >= 2
+        assert all(r.request_id == "00ab" for r in parts)
+        assert all(r.deadline_exceeded for r in parts)
+        where = host.split("/")[0]
+        overruns = telemetry.registry.get("lazylsh_deadline_overruns_total")
+        assert overruns.value(where=where) == 1
+        assert overruns.total() == 1
+
+    @pytest.mark.parametrize("host", sorted(_STAMPED_HOSTS))
+    def test_met_deadline_stamps_id_only(self, built_index, small_split, host):
+        from repro.obs import Telemetry
+
+        call, batch, knobs = _STAMPED_HOSTS[host]
+        telemetry = Telemetry()
+        request = self._request(
+            small_split, batch, knobs, request_id="beef", deadline_ms=1e9
+        )
+        parts = call(built_index, request, telemetry)
+        assert all(r.request_id == "beef" for r in parts)
+        assert not any(r.deadline_exceeded for r in parts)
+        overruns = telemetry.registry.get("lazylsh_deadline_overruns_total")
+        assert overruns.total() == 0
+
+    @pytest.mark.parametrize("host", sorted(_STAMPED_HOSTS))
+    def test_stamping_leaves_answers_unchanged(
+        self, built_index, small_split, host
+    ):
+        call, batch, knobs = _STAMPED_HOSTS[host]
+        plain = call(built_index, self._request(small_split, batch, knobs), None)
+        stamped = call(
+            built_index,
+            self._request(
+                small_split, batch, knobs, request_id="0f", deadline_ms=1e-9
+            ),
+            None,
+        )
+        for a, b in zip(plain, stamped):
+            np.testing.assert_array_equal(a.ids, b.ids)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            assert a.io == b.io
+            assert a.request_id is None and not a.deadline_exceeded
+
+
 class TestDeprecatedPositionals:
     def test_knn_positional_p_warns_and_matches(
         self, built_index, small_split
